@@ -21,6 +21,7 @@ from .formats import DumpParseError, DumpRow, RunConfig, build_dump, dump_values
 from .greedy import (
     CandidateEvaluation,
     ChosenPoint,
+    GreedyInvariantError,
     SequenceState,
     e_functional,
     enumerate_candidates,
@@ -84,6 +85,7 @@ __all__ = [
     "DumpRow",
     "GFunction",
     "GOLDEN_RATIO",
+    "GreedyInvariantError",
     "GridSpec",
     "KroneckerConfig",
     "PiecewiseFunction",

@@ -36,7 +36,6 @@ from .metrics import metric_series
 from .numeric import (
     BackendMismatch,
     ConfigError,
-    DEFAULT_TIE_TOL,
     DomainError,
     seed_help,
 )
@@ -82,12 +81,6 @@ def _add_generation_args(p: argparse.ArgumentParser, *, require_sequence: bool) 
         default="pcg64",
         help="uniform stream generator (default: pcg64)",
     )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TIE_TOL,
-        help="tie tolerance for the float backend (default: 1e-12)",
-    )
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -129,9 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmp_.add_argument("--count", type=int, required=True, help="points per series")
     cmp_.add_argument("--every", type=int, default=1, help="emit one row every k prefix lengths")
-    cmp_.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TIE_TOL, help="tie tolerance for greedy series"
-    )
     _add_output_args(cmp_)
 
     ver = sub.add_parser("verify", help="run structural check suites")
@@ -175,7 +165,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         count=args.count,
         backend=args.backend,
         tie_rule=args.tie_rule,
-        tie_tol=args.tolerance,
         alpha=args.alpha,
         rng_seed=args.rng_seed,
         generator=args.generator,
@@ -214,7 +203,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_series_spec(spec: str, count: int, tolerance: float) -> RunConfig:
+def _parse_series_spec(spec: str, count: int) -> RunConfig:
     name, _, rest = spec.partition(":")
     if name not in SEQUENCES:
         raise ConfigError(f"unknown sequence {name!r} in series spec {spec!r}")
@@ -237,7 +226,6 @@ def _parse_series_spec(spec: str, count: int, tolerance: float) -> RunConfig:
         count=count,
         backend="float",
         tie_rule=options.get("tie_rule", "smallest"),
-        tie_tol=tolerance,
         alpha=options.get("alpha", "phi"),
         rng_seed=rng_seed,
         generator=options.get("generator", "pcg64"),
@@ -252,7 +240,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError("compare needs at least two --series specs")
     if args.every < 1:
         raise ConfigError(f"--every must be >= 1, got {args.every}")
-    configs = [_parse_series_spec(spec, args.count, args.tolerance) for spec in args.series]
+    configs = [_parse_series_spec(spec, args.count) for spec in args.series]
     labeled = []
     used: dict[str, int] = {}
     for config in configs:

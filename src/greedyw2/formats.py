@@ -29,7 +29,6 @@ from .greedy import SequenceState, TIE_RULES, extend
 from .numeric import (
     Backend,
     ConfigError,
-    DEFAULT_TIE_TOL,
     format_rational,
     parse_seed,
 )
@@ -68,7 +67,6 @@ class RunConfig:
     count: int = 1
     backend: str = "float"
     tie_rule: str = "smallest"
-    tie_tol: float = DEFAULT_TIE_TOL
     alpha: str = "phi"
     rng_seed: int = 0
     generator: str = "pcg64"
@@ -84,8 +82,6 @@ class RunConfig:
             raise ConfigError(f"unknown tie rule {self.tie_rule!r}")
         if self.count < 1:
             raise ConfigError(f"count must be >= 1, got {self.count}")
-        if self.tie_tol < 0:
-            raise ConfigError(f"tie tolerance must be >= 0, got {self.tie_tol}")
         if self.sequence == "kritzinger":
             if self.count < len(self.seeds):
                 raise ConfigError(
@@ -123,7 +119,6 @@ class RunConfig:
             "count": str(self.count),
             "seeds": ",".join(self.seeds),
             "tie_rule": self.tie_rule,
-            "tie_tol": repr(self.tie_tol),
             "alpha": self.alpha,
             "rng_seed": str(self.rng_seed),
             "generator": self.generator,
@@ -173,7 +168,7 @@ def _kritzinger_rows(config: RunConfig) -> list[DumpRow]:
     for step, value in enumerate(seed_values, 1):
         reduced = value if isinstance(value, Fraction) else None
         rows.append(DumpRow(step, None, None, reduced, float(value)))
-    state = SequenceState(seed_values, backend=backend, tie_tol=config.tie_tol)
+    state = SequenceState(seed_values, backend=backend)
     extend(state, config.count, tie_rule=config.tie_rule)
     for chosen in state.history:
         rows.append(

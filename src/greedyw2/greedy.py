@@ -21,15 +21,61 @@ so minimizing E(z) + (z^3 + (1-z)^3)/3 over the candidates selects the same
 points (the two objectives differ by a constant of the current state).  Both
 routes are implemented separately and cross-checked by the test suite.
 
-The rational backend stores points as integer numerators over one shared
-denominator, which turns candidate comparison into pure integer arithmetic:
-with q = 2n+2 and common denominator D, the value F((2m+1)/q) scaled by
-q^2 D is
+The engine behind :func:`next_point` compares sums of deviations, not values
+of F.  Index the sorted points from 0 and write S_i for the sum of the n-i
+largest.  Then sum_k max(x, x_k) = max_i (i x + S_i), so F = min_i q_i with
+q_i(x) = (n+1) x^2 - x - 2 (i x + S_i), least at c_i = (2i+1)/(2n+2), where
 
-    (n+1)(2m+1)^2 D - (2m+1) q D (1 + 2 i_m) - 2 S_{i_m} q^2
+    q_m(c_m) = -2 S_0 - 1/(4(n+1)) + 2 D_m,
+    D_m = sum_{k<m} (x_k - (k+1)/(n+1)).
 
-where i_m counts points below the candidate and S_i is an integer suffix
-sum.  Scaling by the positive constant q^2 D preserves order and exact ties.
+So min F = min_m q_m(c_m) is a constant plus 2 min D.  Let m attain min D.
+As D_{m+1} - D_m = x_m - (m+1)/(n+1) >= 0 and D_m - D_{m-1} = x_{m-1} -
+m/(n+1) <= 0,
+
+    x_{m-1} <= c_m - 1/(2n+2) < c_m < c_m + 1/(2n+2) <= x_m,
+
+so c_m is feasible (exactly m points lie below it, none on it), F(c_m) =
+q_m(c_m) = min F, and the new point takes rank m.  Conversely a minimizer
+of F is no kink (F bends down at each point), so it is the stationary
+point c_i of the piece q_i it lies on, and its D_i is least.  The tie set
+is therefore {m : D_m = min D}, and the tie rule picks its least or
+greatest m.  No feasibility test is needed: a candidate that is not
+feasible, or that coincides with a point, has a neighbour whose D is
+smaller by at least 1/(2n+2).
+
+The float pass computes d^_k = fl(x^_k - fl((k+1)/(n+1))), where x^_k is
+the stored double (correctly rounded; float seeds and dyadic points are
+exact), D^ by a running (recursive) sum, and the float minimum D^_{m^}.
+With u = 2^-53 and gamma_k = k u / (1 - k u), every D^_m is within
+
+    E0 = 3 u n + gamma_n sum_k |d^_k|
+
+of D_m: x^_k, the quotient and the difference each round once, by at most
+u (all three lie in [-1, 1]), and a running sum of m terms errs by at most
+gamma_{m-1} times the sum of their magnitudes (Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, eq. 4.4).  For an exact minimizer
+m*, D^_{m*} <= D_{m*} + E0 <= D_{m^} + E0 <= D^_{m^} + 2 E0, so every exact
+minimizer lies in the window {m : D^_m <= D^_{m^} + 2 E0}.  The code uses
+
+    E = 4 u (n+1) + 2 gamma_{n+1} sum_k |d^_k|,
+
+whose excess over E0, at least u (n+1) + gamma_n sum_k |d^_k|, covers for
+n < 2^40 the rounding of the float sum of the |d^_k| (relative error below
+gamma_n), of E itself (a few u, relative) and of the threshold D^_{m^} + 2 E
+(at most u |D^_{m^} + 2 E|, where |D^_{m^}| <= (1 + gamma_n) sum_k |d^_k|).
+The running sum is numpy's cumsum, which adds in order.
+
+A window of one candidate is the answer.  A wider one is settled by exact
+Fraction sums of the deviations over its ranks: the adaptive exact
+predicate of Shewchuk (Adaptive Precision Floating-Point Arithmetic and
+Fast Robust Geometric Predicates, 1997).  A candidate that is not feasible
+lies at least 1/(2n+2) above the exact minimum, so it enters the window
+only if 4 E exceeds that gap, and the exact stage then drops it.  No float
+comparison of a candidate with a point is made, so none can come out
+equal and need settling.  Seeds are checked to lie in [0, 1]; a point that
+is not a finite number (only a corrupted state holds one) makes the
+window's threshold non-finite and raises :class:`GreedyInvariantError`.
 """
 
 from __future__ import annotations
@@ -56,6 +102,7 @@ from .numeric import (
 __all__ = [
     "CandidateEvaluation",
     "ChosenPoint",
+    "GreedyInvariantError",
     "SequenceState",
     "TIE_RULES",
     "e_functional",
@@ -69,6 +116,12 @@ __all__ = [
 ]
 
 TIE_RULES = ("smallest", "largest")
+
+_U = 2.0**-53  # unit roundoff of float64
+
+
+class GreedyInvariantError(RuntimeError):
+    """The state contradicts the minimizer structure; it has been corrupted."""
 
 
 @dataclass(frozen=True)
@@ -109,26 +162,25 @@ class CandidateEvaluation:
     f_value: Fraction | float
 
 
+def _exact(p) -> Fraction:
+    """Exact value of a stored point: a ChosenPoint, a Fraction or a float."""
+    return p.reduced if isinstance(p, ChosenPoint) else Fraction(p)
+
+
 class SequenceState:
     """Sorted point multiset on [0,1] being grown one point at a time.
 
-    Points stay sorted with cached suffix sums so functional evaluations
-    need one binary search plus O(1) lookups.  ``history`` records every
-    greedily added point in raw (odd numerator, 2*step) form; seed points
-    have no raw form and are not in the history.
+    Both backends hold the same two parallel sorted sequences: the float64
+    values the greedy kernel filters with, and the exact points behind them
+    (seeds as given, greedy points as their :class:`ChosenPoint`; float seeds
+    are exact dyadic rationals).  The backend fixes only the scalar type of
+    what the state hands out.  ``history`` records every greedily added point
+    in raw (odd numerator, 2*step) form; seed points have no raw form and are
+    not in the history.  ``tie_tol`` is read only by the float route of
+    :func:`next_point_via_e`.
     """
 
-    __slots__ = (
-        "backend",
-        "tie_tol",
-        "history",
-        "seed_count",
-        "_den",
-        "_nums",
-        "_sfx",
-        "_arr",
-        "_fsfx",
-    )
+    __slots__ = ("backend", "tie_tol", "history", "seed_count", "_arr", "_pts")
 
     def __init__(
         self,
@@ -139,6 +191,8 @@ class SequenceState:
         if not isinstance(backend, Backend):
             backend = Backend.from_str(backend)
         self.backend = backend
+        if not tie_tol >= 0:
+            raise ConfigError(f"tie tolerance must be >= 0, got {tie_tol}")
         self.tie_tol = float(tie_tol)
         self.history: list[ChosenPoint] = []
         seeds = list(seeds)
@@ -156,12 +210,8 @@ class SequenceState:
                     raise DomainError(f"seed {s!r} lies outside [0, 1]")
                 vals.append(v)
             vals.sort()
-            den = math.lcm(*(v.denominator for v in vals)) if vals else 1
-            self._den = den
-            self._nums = [v.numerator * (den // v.denominator) for v in vals]
-            self._rebuild_rational_suffix()
-            self._arr = None
-            self._fsfx = None
+            self._pts: list = vals
+            self._arr = np.array([float(v) for v in vals], dtype=np.float64)
         else:
             for s in seeds:
                 if not (is_float_scalar(s) or is_rational_scalar(s)):
@@ -173,60 +223,25 @@ class SequenceState:
             if arr.size and not (0.0 <= arr[0] and arr[-1] <= 1.0):
                 raise DomainError("seed values must lie in [0, 1]")
             self._arr = arr
-            self._rebuild_float_suffix()
-            self._den = None
-            self._nums = None
-            self._sfx = None
-
-    # -- bookkeeping ---------------------------------------------------
-
-    def _rebuild_rational_suffix(self) -> None:
-        n = len(self._nums)
-        sfx = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            sfx[i] = sfx[i + 1] + self._nums[i]
-        self._sfx = sfx
-
-    def _rebuild_float_suffix(self) -> None:
-        arr = self._arr
-        sfx = np.zeros(arr.size + 1, dtype=np.float64)
-        if arr.size:
-            sfx[:-1] = np.cumsum(arr[::-1])[::-1]
-        self._fsfx = sfx
+            self._pts = arr.tolist()
 
     @property
     def n(self) -> int:
-        if self.backend is Backend.RATIONAL:
-            return len(self._nums)
         return int(self._arr.size)
 
     @property
     def points(self) -> list:
         """Sorted point values in the backend's scalar type (fresh list)."""
         if self.backend is Backend.RATIONAL:
-            den = self._den
-            return [Fraction(v, den) for v in self._nums]
-        return [float(x) for x in self._arr]
-
-    @property
-    def suffix_sums(self) -> list:
-        """suffix_sums[i] = sum of points[i:]; length n+1, last entry zero."""
-        if self.backend is Backend.RATIONAL:
-            den = self._den
-            return [Fraction(s, den) for s in self._sfx]
-        return [float(s) for s in self._fsfx]
+            return [_exact(p) for p in self._pts]
+        return self._arr.tolist()
 
     def copy(self) -> "SequenceState":
         dup = SequenceState((), backend=self.backend, tie_tol=self.tie_tol)
         dup.history = list(self.history)
         dup.seed_count = self.seed_count
-        if self.backend is Backend.RATIONAL:
-            dup._den = self._den
-            dup._nums = list(self._nums)
-            dup._sfx = list(self._sfx)
-        else:
-            dup._arr = self._arr.copy()
-            dup._fsfx = self._fsfx.copy()
+        dup._arr = self._arr.copy()
+        dup._pts = list(self._pts)
         return dup
 
     def __repr__(self) -> str:
@@ -235,29 +250,16 @@ class SequenceState:
             f"seeds={self.seed_count}, chosen={len(self.history)})"
         )
 
-    # -- mutation ------------------------------------------------------
-
-    def _insert_candidate(self, m: int) -> Fraction:
-        """Append candidate m of the current step; returns its exact value."""
+    def _insert_candidate(self, m: int, rank: int) -> Fraction:
+        """Insert candidate m of the current step at sorted position ``rank``
+        (the number of points below it); returns its exact value."""
         n = self.n
-        q = 2 * n + 2
-        j = 2 * m + 1
-        chosen = Fraction(j, q)
-        if self.backend is Backend.RATIONAL:
-            den = math.lcm(self._den, q)
-            if den != self._den:
-                f = den // self._den
-                self._nums = [v * f for v in self._nums]
-                self._den = den
-            bisect.insort(self._nums, j * (den // q))
-            self._rebuild_rational_suffix()
-        else:
-            c = j / q
-            pos = int(np.searchsorted(self._arr, c, side="left"))
-            self._arr = np.insert(self._arr, pos, c)
-            self._rebuild_float_suffix()
-        self.history.append(ChosenPoint(step=n + 1, numerator=j, denominator=q))
-        return chosen
+        point = ChosenPoint(step=n + 1, numerator=2 * m + 1, denominator=2 * n + 2)
+        arr = self._arr
+        self._arr = np.concatenate((arr[:rank], [point.numerator / point.denominator], arr[rank:]))
+        self._pts.insert(rank, point)
+        self.history.append(point)
+        return point.reduced
 
 
 def _check_scalar(state: SequenceState, x) -> Fraction | float:
@@ -285,14 +287,9 @@ def kritzinger_f(state: SequenceState, x) -> Fraction | float:
     into #(points below x) and a suffix sum over points >= x is exact.
     """
     x = _check_scalar(state, x)
-    n = state.n
-    if state.backend is Backend.RATIONAL:
-        i = bisect.bisect_left(state._nums, x * state._den)
-        suffix = Fraction(state._sfx[i], state._den)
-    else:
-        i = int(np.searchsorted(state._arr, x, side="left"))
-        suffix = float(state._fsfx[i])
-    return (n + 1) * x * x - x - 2 * (x * i + suffix)
+    pts = state.points
+    i = bisect.bisect_left(pts, x)
+    return (state.n + 1) * x * x - x - 2 * (x * i + sum(pts[i:]))
 
 
 def enumerate_candidates(state: SequenceState) -> list[CandidateEvaluation]:
@@ -303,38 +300,33 @@ def enumerate_candidates(state: SequenceState) -> list[CandidateEvaluation]:
     """
     n = state.n
     q = 2 * n + 2
+    pts = state.points
+    sfx = [0] * (n + 1)  # sfx[i] = sum of points[i:]
+    for i in range(n - 1, -1, -1):
+        sfx[i] = sfx[i + 1] + pts[i]
+    exact = state.backend is Backend.RATIONAL
     out: list[CandidateEvaluation] = []
-    if state.backend is Backend.RATIONAL:
-        den = state._den
-        nums_q = [v * q for v in state._nums]
-        t = 0
-        for m in range(n + 1):
-            j = 2 * m + 1
-            value = Fraction(j, q)
-            jd = j * den
-            while t < n and nums_q[t] < jd:
-                t += 1
-            f = (n + 1) * value * value - value - 2 * (
-                value * t + Fraction(state._sfx[t], den)
-            )
-            out.append(CandidateEvaluation(m=m, value=value, f_value=f))
-    else:
-        ms = np.arange(n + 1)
-        c = (2 * ms + 1) / q
-        left = np.searchsorted(state._arr, c, side="left")
-        f = (n + 1) * c * c - c - 2.0 * (c * left + state._fsfx[left])
-        for m in range(n + 1):
-            out.append(
-                CandidateEvaluation(
-                    m=m, value=Fraction(2 * m + 1, q), f_value=float(f[m])
-                )
-            )
+    t = 0
+    for m in range(n + 1):
+        value = Fraction(2 * m + 1, q)
+        c = value if exact else (2 * m + 1) / q
+        while t < n and pts[t] < c:
+            t += 1
+        f = (n + 1) * c * c - c - 2 * (c * t + sfx[t])
+        out.append(CandidateEvaluation(m=m, value=value, f_value=f))
     return out
 
 
 def _check_tie_rule(tie_rule: str) -> None:
     if tie_rule not in TIE_RULES:
         raise ConfigError(f"unknown tie rule {tie_rule!r}; expected one of {TIE_RULES}")
+
+
+def _invariant_error(n: int, lo: int, hi: int, what: str) -> GreedyInvariantError:
+    return GreedyInvariantError(
+        f"step {n + 1} (n = {n}), candidate ranks m = {lo}..{hi}: {what}; "
+        "the state contradicts the minimizer structure (it has been corrupted)"
+    )
 
 
 def _select(objectives, collides, tie_tol, tie_rule: str) -> int:
@@ -353,73 +345,61 @@ def _select(objectives, collides, tie_tol, tie_rule: str) -> int:
         tie = [m for m, v in enumerate(objectives) if v <= cut]
     eligible = [m for m in tie if not collides[m]]
     if not eligible:
-        raise AssertionError(
-            "every minimizing candidate coincides with an existing point; "
-            "this contradicts the minimizer structure (check tie tolerance)"
+        n = len(objectives) - 1
+        lo, hi = (tie[0], tie[-1]) if tie else (0, n)
+        raise _invariant_error(
+            n, lo, hi, "every minimizing candidate coincides with an existing point"
         )
     return eligible[0] if tie_rule == "smallest" else eligible[-1]
 
 
-def _rational_argmin(state: SequenceState, tie_rule: str) -> int:
-    n = state.n
-    den = state._den
-    q = 2 * n + 2
-    nums_q = [v * q for v in state._nums]
-    sfx = state._sfx
-    q_den = q * den
-    q2 = q * q
+def _argmin(state: SequenceState, tie_rule: str) -> int:
+    """The tie rule's pick among the candidates of least D_m.
+
+    The float filter, its error bound and the exact fallback are derived in
+    the module docstring.  The pick is feasible, so its rank among the
+    points is m itself.
+    """
+    x = state._arr
+    n = x.size
     np1 = n + 1
-    values: list[int] = []
-    collides: list[bool] = []
-    t = 0
-    for m in range(n + 1):
-        j = 2 * m + 1
-        jd = j * den
-        while t < n and nums_q[t] < jd:
-            t += 1
-        collides.append(t < n and nums_q[t] == jd)
-        # F((2m+1)/q) scaled by the positive constant q^2 * den
-        values.append(np1 * j * j * den - j * q_den * (1 + 2 * t) - 2 * sfx[t] * q2)
-    return _select(values, collides, None, tie_rule)
-
-
-def _float_argmin(state: SequenceState, tie_rule: str) -> int:
-    arr = state._arr
-    n = int(arr.size)
-    q = 2 * n + 2
-    ms = np.arange(n + 1)
-    c = (2 * ms + 1) / q
-    left = np.searchsorted(arr, c, side="left")
-    f = (n + 1) * c * c - c - 2.0 * (c * left + state._fsfx[left])
-    fmin = float(f.min())
-    tie = f <= fmin + state.tie_tol
-    # candidates equal to an existing point are ineligible
-    right = np.searchsorted(arr, c, side="right")
-    tie &= left == right
-    idx = np.nonzero(tie)[0]
-    if idx.size == 0:
-        raise AssertionError(
-            "every minimizing candidate coincides with an existing point; "
-            "this contradicts the minimizer structure (check tie tolerance)"
-        )
-    return int(idx[0] if tie_rule == "smallest" else idx[-1])
+    d = x - np.arange(1, np1) / np1
+    D = np.empty(np1)
+    D[0] = 0.0
+    np.cumsum(d, out=D[1:])
+    gamma = np1 * _U / (1.0 - np1 * _U)
+    err = 4.0 * _U * np1 + 2.0 * gamma * float(np.abs(d, out=d).sum())
+    limit = float(D.min() + 2.0 * err)
+    if not math.isfinite(limit):
+        raise _invariant_error(n, 0, n, "a stored point is not a finite number")
+    window = np.flatnonzero(D <= limit)
+    if window.size == 1:
+        return int(window[0])
+    pts = state._pts
+    k = int(window[0])
+    exact_d = Fraction(0)  # D_m - D_k for the window's first rank k
+    ranked = []
+    for w in window.tolist():
+        while k < w:
+            exact_d += _exact(pts[k]) - Fraction(k + 1, np1)
+            k += 1
+        ranked.append((exact_d, w))
+    best = min(v for v, _ in ranked)
+    tied = [w for v, w in ranked if v == best]
+    return tied[0] if tie_rule == "smallest" else tied[-1]
 
 
 def next_point(state: SequenceState, tie_rule: str = "smallest") -> Fraction:
     """Greedy step: append and return the F-minimizing candidate.
 
-    Among exact ties (rational backend) or F values within the state's tie
-    tolerance of the minimum (float backend), the tie rule picks the
-    smallest or largest candidate value.  The returned fraction is the exact
-    chosen value even in the float backend; the state stores its backend
-    representation and the raw form goes into ``state.history``.
+    Among exact ties the tie rule picks the smallest or largest candidate
+    value.  The decision is exact in both backends (see the module
+    docstring); the returned fraction is the exact chosen value, the state
+    stores it and the raw form goes into ``state.history``.
     """
     _check_tie_rule(tie_rule)
-    if state.backend is Backend.RATIONAL:
-        m = _rational_argmin(state, tie_rule)
-    else:
-        m = _float_argmin(state, tie_rule)
-    return state._insert_candidate(m)
+    m = _argmin(state, tie_rule)
+    return state._insert_candidate(m, m)
 
 
 def e_functional(state: SequenceState, z) -> Fraction | float:
@@ -452,7 +432,9 @@ def next_point_via_e(state: SequenceState, tie_rule: str = "smallest") -> Fracti
     """Greedy step through the independent objective E(z) + (z^3+(1-z)^3)/3.
 
     Shares no functional-evaluation code with :func:`next_point`; the two
-    must select identical points, which the verification suite checks.
+    must select identical points, which the verification suite checks.  In
+    the float backend, values within the state's ``tie_tol`` of the minimum
+    count as tied.
     """
     _check_tie_rule(tie_rule)
     n = state.n
@@ -477,17 +459,19 @@ def next_point_via_e(state: SequenceState, tie_rule: str = "smallest") -> Fracti
         suf[k] = suf[k + 1] + (1 - pts[k]) * (1 - pts[k])
     objectives = []
     collides = []
+    below = []
     t = 0
     for m in range(n + 1):
         c = cands[m]
         while t < n and pts[t] <= c:
             t += 1
         collides.append(t > 0 and pts[t - 1] == c)
+        below.append(t)
         e = -t * c * c + pre[t] + t * (1 - c) * (1 - c) + suf[t] + n * c * c - n_third
         cc = 1 - c
         objectives.append(e + (c * c * c + cc * cc * cc) * third)
     m = _select(objectives, collides, None if exact else state.tie_tol, tie_rule)
-    return state._insert_candidate(m)
+    return state._insert_candidate(m, below[m])
 
 
 def extend(
@@ -508,10 +492,9 @@ def generate_sequence(
     count: int = 1,
     backend: Backend = Backend.RATIONAL,
     tie_rule: str = "smallest",
-    tie_tol: float = DEFAULT_TIE_TOL,
 ) -> SequenceState:
     """Build a state from seeds and greedily extend it to ``count`` points."""
-    state = SequenceState(seeds, backend=backend, tie_tol=tie_tol)
+    state = SequenceState(seeds, backend=backend)
     extend(state, count, tie_rule)
     return state
 
@@ -520,10 +503,9 @@ def greedy_values(
     seeds: Sequence[float] = (),
     count: int = 1,
     tie_rule: str = "smallest",
-    tie_tol: float = DEFAULT_TIE_TOL,
 ) -> np.ndarray:
     """Float-backend run returning values in append order (seeds first)."""
-    state = SequenceState(seeds, backend=Backend.FLOAT, tie_tol=tie_tol)
+    state = SequenceState(seeds, backend=Backend.FLOAT)
     chosen = extend(state, count, tie_rule)
     vals = [float(s) for s in seeds] + [float(c) for c in chosen]
     return np.asarray(vals, dtype=np.float64)

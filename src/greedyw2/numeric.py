@@ -2,10 +2,12 @@
 
 Every quantity in this package lives in one of two backends, fixed per run:
 exact ``fractions.Fraction`` values (arbitrary precision, always reduced,
-positive denominator) or IEEE-754 doubles.  The two are never mixed inside a
-single computation.  The float backend carries an absolute tolerance that is
-used solely to detect ties between functional values; ordering always uses
-raw float comparison.
+positive denominator) or IEEE-754 doubles.  Values of the two are never
+mixed in one public operation.  The greedy engine runs the same exact
+decision procedure in both backends, so the backend fixes only the scalar
+type of the values it takes and hands out.  The absolute tie tolerance
+:data:`DEFAULT_TIE_TOL` is used only by the float route of the independent
+E-functional cross-check (:func:`greedyw2.greedy.next_point_via_e`).
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ class Backend(enum.Enum):
             ) from None
 
 
-#: Absolute tolerance on functional values below which the float backend
-#: treats two candidates as tied.  Never used for ordering.
+#: Absolute tolerance on functional values below which the float route of
+#: the E-functional cross-check treats two candidates as tied.  Never used
+#: for ordering, and not read by the greedy engine.
 DEFAULT_TIE_TOL = 1e-12
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)/(\d+)$")

@@ -400,6 +400,20 @@ class TestParser:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--sequence", "vdc", "--count", "4"],
+            ["metrics", "--sequence", "vdc", "--count", "4"],
+            ["compare", "--series", "vdc", "--series", "kronecker", "--count", "4"],
+        ],
+    )
+    def test_tolerance_flag_is_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tolerance", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
     def test_module_entry_point(self):
         import subprocess
         import sys

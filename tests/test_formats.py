@@ -43,7 +43,7 @@ class TestRunConfig:
             dict(tie_rule="median"),
             dict(count=0),
             dict(count=2, seeds=("half", "1/4", "3/4")),
-            dict(tie_tol=-1e-9),
+            dict(alpha="nan"),
             dict(alpha="-2"),
             dict(alpha="phi-ish"),
         ],

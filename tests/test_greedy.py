@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from greedyw2 import (
     Backend,
+    GreedyInvariantError,
     SequenceState,
     e_functional,
     enumerate_candidates,
@@ -19,6 +20,7 @@ from greedyw2 import (
     next_point_via_e,
     w2_squared,
 )
+from greedyw2.greedy import TIE_RULES
 from greedyw2.metrics import step_identity_check
 from greedyw2.numeric import ConfigError, DomainError
 
@@ -119,6 +121,10 @@ class TestStateBasics:
         with pytest.raises(DomainError):
             extend(state, 3)
 
+    def test_rejects_negative_tie_tolerance(self):
+        with pytest.raises(ConfigError):
+            SequenceState([], backend=Backend.FLOAT, tie_tol=-1e-9)
+
     def test_unknown_tie_rule(self):
         with pytest.raises(ConfigError):
             next_point(rational_state([]), tie_rule="middle")
@@ -196,44 +202,93 @@ class TestBackendAgreement:
     @given(
         st.lists(st.integers(0, 1024).map(lambda k: F(k, 1024)), min_size=0, max_size=4),
         st.integers(1, 60),
+        st.sampled_from(TIE_RULES),
     )
     @settings(max_examples=25)
-    def test_divergence_only_on_sub_tolerance_ties(self, seeds, count):
+    def test_backends_agree_at_every_step(self, seeds, count, tie_rule):
         # Dyadic seeds convert to float losslessly, so both backends solve
-        # the same instance.  The runs must agree step for step unless the
-        # exact gap between their choices is below the float tie tolerance
-        # (such gaps are indistinguishable in float64 by construction).
+        # the same instance, and both decide exactly.
         count = max(count, len(seeds))
         exact = SequenceState(seeds, backend=Backend.RATIONAL)
         approx = SequenceState([float(s) for s in seeds], backend=Backend.FLOAT)
         for _ in range(count - exact.n):
-            pre = exact.copy()
-            a = next_point(exact)
-            b = next_point(approx)
-            if a != b:
-                gap = abs(kritzinger_f(pre, a) - kritzinger_f(pre, b))
-                assert gap < approx.tie_tol
-                return
+            assert next_point(exact, tie_rule) == next_point(approx, tie_rule)
 
-    def test_full_precision_seed_forks_on_indistinguishable_gap(self):
+    def test_full_precision_seed_takes_exact_winner_on_both_backends(self):
         # A seed one ulp off 1/3 makes F(1/6) and F(1/2) differ by ~4e-16
-        # after two steps: a strict exact-arithmetic winner whose gap is
-        # below one float64 ulp of the functional values, so the float
-        # backend must treat it as a tie.  Pin the behavior of both.
+        # after two steps: a strict winner whose gap is below one float64
+        # ulp of the functional values.  Both backends pick it.
         seed = F(0.3333333333333333)
         exact = generate_sequence([seed], 3, backend=Backend.RATIONAL)
         approx = generate_sequence([float(seed)], 3, backend=Backend.FLOAT)
-        assert exact.history[0].raw == approx.history[0].raw == (3, 4)
+        assert [c.raw for c in exact.history] == [c.raw for c in approx.history]
+        assert exact.history[0].raw == (3, 4)
         assert exact.history[1].raw == (3, 6)
-        assert approx.history[1].raw == (1, 6)
         pre = SequenceState([seed, F(3, 4)], backend=Backend.RATIONAL)
-        gap = abs(kritzinger_f(pre, F(1, 6)) - kritzinger_f(pre, F(1, 2)))
+        gap = kritzinger_f(pre, F(1, 6)) - kritzinger_f(pre, F(1, 2))
         assert 0 < gap < 1e-12
 
     def test_seed_half_agrees_to_two_thousand(self):
         exact = generate_sequence([F(1, 2)], 2000, backend=Backend.RATIONAL)
         approx = generate_sequence([0.5], 2000, backend=Backend.FLOAT)
         assert [c.raw for c in exact.history] == [c.raw for c in approx.history]
+
+    def test_exact_tie_at_n_16059_from_seed_half(self):
+        # Candidates m = 10292 and 10293 tie exactly here; the objective is
+        # of size n, so a tolerance on F values cannot see the tie.
+        state = generate_sequence([0.5], 16059, backend=Backend.FLOAT)
+        assert next_point(state, "smallest") == F(20585, 32120)
+        assert state.history[-1].raw == (20585, 32120)
+
+
+def brute_force_next(seeds, state, tie_rule):
+    """The tie rule's pick among the non-colliding exact minimizers of F.
+
+    The exact points are the seeds (a float seed is an exact binary
+    fraction) and the exact values of the greedy points so far.
+    """
+    points = [F(s) for s in seeds] + [c.reduced for c in state.history]
+    exact = SequenceState(points, backend=Backend.RATIONAL)
+    evals = enumerate_candidates(exact)
+    best = min(c.f_value for c in evals)
+    taken = set(exact.points)
+    tied = [c.value for c in evals if c.f_value == best and c.value not in taken]
+    return tied[0] if tie_rule == "smallest" else tied[-1]
+
+
+dyadic = st.integers(0, 2**20).map(lambda k: F(k, 2**20))
+seed_kinds = {
+    "rational": (st.fractions(min_value=0, max_value=1, max_denominator=10**6), Backend.RATIONAL),
+    "dyadic": (dyadic, Backend.FLOAT),
+    "duplicate": (st.sampled_from([F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]), Backend.RATIONAL),
+    "float": (st.floats(min_value=0.0, max_value=1.0), Backend.FLOAT),
+}
+
+
+class TestExactEngineFuzz:
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    @pytest.mark.parametrize("kind", sorted(seed_kinds))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_next_point_matches_brute_force(self, kind, tie_rule, data):
+        values, backend = seed_kinds[kind]
+        seeds = data.draw(st.lists(values, max_size=8), label="seeds")
+        n = data.draw(st.integers(len(seeds), 197), label="n")
+        state = SequenceState(seeds, backend=backend)
+        extend(state, n, tie_rule)
+        for _ in range(3):
+            want = brute_force_next(seeds, state, tie_rule)
+            assert next_point(state, tie_rule) == want
+
+
+class TestInvariantErrors:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_corrupted_state_names_step_and_ranks(self, bad):
+        state = generate_sequence([0.5], 6, backend=Backend.FLOAT)
+        state._arr[2] = bad
+        msg = r"step 7 \(n = 6\), candidate ranks m = 0\.\.6: "
+        with pytest.raises(GreedyInvariantError, match=msg):
+            next_point(state)
 
 
 class TestConvenienceApis:
