@@ -58,7 +58,6 @@ from .numeric import (
     BackendMismatch,
     ConfigError,
     DomainError,
-    Rational,
     parse_rational,
     parse_seed,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "GridSpec",
     "KroneckerConfig",
     "PiecewiseFunction",
-    "Rational",
     "RunConfig",
     "SeededUniformConfig",
     "SequenceState",

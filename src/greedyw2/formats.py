@@ -11,7 +11,6 @@ generator.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
@@ -26,6 +25,7 @@ from .classical import (
     van_der_corput,
 )
 from .greedy import SequenceState, TIE_RULES, extend
+from .metrics import star_over_log
 from .numeric import (
     Backend,
     ConfigError,
@@ -352,13 +352,6 @@ def read_dump_file(path: str) -> tuple[dict[str, str], list[DumpRow]]:
 
 # ---------------------------------------------------------------------------
 # metric reports
-
-
-def star_over_log(n: int, star: float) -> float | None:
-    """Count-scale star discrepancy divided by ln(n); undefined at n <= 1."""
-    if n <= 1:
-        return None
-    return star / math.log(n)
 
 
 def _report_cells(series: dict, i: int, star_scale: str) -> tuple[str, ...]:

@@ -89,12 +89,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .numeric import (
-    DEFAULT_TIE_TOL,
     Backend,
     BackendMismatch,
     ConfigError,
     DomainError,
-    Rational,
     is_float_scalar,
     is_rational_scalar,
 )
@@ -150,16 +148,16 @@ class ChosenPoint:
 class CandidateEvaluation:
     """One candidate (2m+1)/(2n+2) paired with its functional value.
 
-    ``value`` is always the exact fraction, in either backend; ``f_value``
-    is a Fraction in the rational backend and a float otherwise.  A
-    candidate may coincide with an existing point for particular states;
-    such candidates can never attain the global minimum and are skipped when
-    the next point is selected.
+    ``value`` and ``f_value`` are exact fractions in either backend, so
+    candidates tie exactly when their ``f_value`` are equal.  A candidate
+    may coincide with an existing point for particular states; such
+    candidates can never attain the global minimum and are skipped when the
+    next point is selected.
     """
 
     m: int
-    value: Rational
-    f_value: Fraction | float
+    value: Fraction
+    f_value: Fraction
 
 
 def _exact(p) -> Fraction:
@@ -176,24 +174,16 @@ class SequenceState:
     are exact dyadic rationals).  The backend fixes only the scalar type of
     what the state hands out.  ``history`` records every greedily added point
     in raw (odd numerator, 2*step) form; seed points have no raw form and are
-    not in the history.  ``tie_tol`` is read only by the float route of
-    :func:`next_point_via_e`.
+    not in the history.  Every evaluation computes on the exact points and
+    converts its result to the backend's scalar type once, at the return.
     """
 
-    __slots__ = ("backend", "tie_tol", "history", "seed_count", "_arr", "_pts")
+    __slots__ = ("backend", "history", "seed_count", "_arr", "_pts")
 
-    def __init__(
-        self,
-        seeds: Iterable = (),
-        backend: Backend = Backend.RATIONAL,
-        tie_tol: float = DEFAULT_TIE_TOL,
-    ) -> None:
+    def __init__(self, seeds: Iterable = (), backend: Backend = Backend.RATIONAL) -> None:
         if not isinstance(backend, Backend):
             backend = Backend.from_str(backend)
         self.backend = backend
-        if not tie_tol >= 0:
-            raise ConfigError(f"tie tolerance must be >= 0, got {tie_tol}")
-        self.tie_tol = float(tie_tol)
         self.history: list[ChosenPoint] = []
         seeds = list(seeds)
         self.seed_count = len(seeds)
@@ -230,14 +220,19 @@ class SequenceState:
         return int(self._arr.size)
 
     @property
+    def exact_points(self) -> list[Fraction]:
+        """Sorted exact point values as Fractions, in either backend (fresh list)."""
+        return [_exact(p) for p in self._pts]
+
+    @property
     def points(self) -> list:
         """Sorted point values in the backend's scalar type (fresh list)."""
         if self.backend is Backend.RATIONAL:
-            return [_exact(p) for p in self._pts]
+            return self.exact_points
         return self._arr.tolist()
 
     def copy(self) -> "SequenceState":
-        dup = SequenceState((), backend=self.backend, tie_tol=self.tie_tol)
+        dup = SequenceState((), backend=self.backend)
         dup.history = list(self.history)
         dup.seed_count = self.seed_count
         dup._arr = self._arr.copy()
@@ -249,6 +244,10 @@ class SequenceState:
             f"SequenceState(n={self.n}, backend={self.backend.value}, "
             f"seeds={self.seed_count}, chosen={len(self.history)})"
         )
+
+    def _scalar(self, value: Fraction) -> Fraction | float:
+        """An exact value in the backend's scalar type."""
+        return value if self.backend is Backend.RATIONAL else float(value)
 
     def _insert_candidate(self, m: int, rank: int) -> Fraction:
         """Insert candidate m of the current step at sorted position ``rank``
@@ -262,22 +261,15 @@ class SequenceState:
         return point.reduced
 
 
-def _check_scalar(state: SequenceState, x) -> Fraction | float:
-    if state.backend is Backend.RATIONAL:
-        if not is_rational_scalar(x):
-            raise BackendMismatch(
-                f"rational-backend state got {type(x).__name__} argument {x!r}"
-            )
-        x = Fraction(x)
-    else:
-        if not (is_float_scalar(x) or is_rational_scalar(x)):
-            raise BackendMismatch(
-                f"float-backend state got {type(x).__name__} argument {x!r}"
-            )
-        x = float(x)
+def _check_scalar(state: SequenceState, x) -> Fraction:
+    """The argument as an exact fraction, checked against the backend and [0, 1]."""
+    if not (is_rational_scalar(x) or (state.backend is Backend.FLOAT and is_float_scalar(x))):
+        raise BackendMismatch(
+            f"{state.backend.value}-backend state got {type(x).__name__} argument {x!r}"
+        )
     if not 0 <= x <= 1:
         raise DomainError(f"argument {x!r} lies outside [0, 1]")
-    return x
+    return Fraction(x)
 
 
 def kritzinger_f(state: SequenceState, x) -> Fraction | float:
@@ -287,33 +279,31 @@ def kritzinger_f(state: SequenceState, x) -> Fraction | float:
     into #(points below x) and a suffix sum over points >= x is exact.
     """
     x = _check_scalar(state, x)
-    pts = state.points
+    pts = state.exact_points
     i = bisect.bisect_left(pts, x)
-    return (state.n + 1) * x * x - x - 2 * (x * i + sum(pts[i:]))
+    return state._scalar((state.n + 1) * x * x - x - 2 * (x * i + sum(pts[i:])))
 
 
 def enumerate_candidates(state: SequenceState) -> list[CandidateEvaluation]:
-    """All n+1 candidates (2m+1)/(2n+2) with their F values, ascending in m.
+    """All n+1 candidates (2m+1)/(2n+2) with their exact F values, ascending in m.
 
     One sweep over the sorted points serves every candidate: candidates
     ascend with m, so the below-count pointer never backtracks.
     """
     n = state.n
     q = 2 * n + 2
-    pts = state.points
+    pts = state.exact_points
     sfx = [0] * (n + 1)  # sfx[i] = sum of points[i:]
     for i in range(n - 1, -1, -1):
         sfx[i] = sfx[i + 1] + pts[i]
-    exact = state.backend is Backend.RATIONAL
     out: list[CandidateEvaluation] = []
     t = 0
     for m in range(n + 1):
-        value = Fraction(2 * m + 1, q)
-        c = value if exact else (2 * m + 1) / q
+        c = Fraction(2 * m + 1, q)
         while t < n and pts[t] < c:
             t += 1
         f = (n + 1) * c * c - c - 2 * (c * t + sfx[t])
-        out.append(CandidateEvaluation(m=m, value=value, f_value=f))
+        out.append(CandidateEvaluation(m=m, value=c, f_value=f))
     return out
 
 
@@ -329,26 +319,22 @@ def _invariant_error(n: int, lo: int, hi: int, what: str) -> GreedyInvariantErro
     )
 
 
-def _select(objectives, collides, tie_tol, tie_rule: str) -> int:
+def _select(objectives, collides, tie_rule: str) -> int:
     """Index of the minimizing entry under the tie rule.
 
-    ``tie_tol`` is None for exact values (ties are exact equality) and an
-    absolute tolerance for floats.  Entries flagged in ``collides`` coincide
-    with an existing point; they can never attain the true minimum, so they
-    are dropped from the tie set rather than selected.
+    The objectives are exact, so ties are equality.  Entries flagged in
+    ``collides`` coincide with an existing point; they can never attain the
+    true minimum, so they are dropped from the tie set rather than selected.
     """
     best = min(objectives)
-    if tie_tol is None:
-        tie = [m for m, v in enumerate(objectives) if v == best]
-    else:
-        cut = best + tie_tol
-        tie = [m for m, v in enumerate(objectives) if v <= cut]
+    tie = [m for m, v in enumerate(objectives) if v == best]
     eligible = [m for m in tie if not collides[m]]
     if not eligible:
-        n = len(objectives) - 1
-        lo, hi = (tie[0], tie[-1]) if tie else (0, n)
         raise _invariant_error(
-            n, lo, hi, "every minimizing candidate coincides with an existing point"
+            len(objectives) - 1,
+            tie[0],
+            tie[-1],
+            "every minimizing candidate coincides with an existing point",
         )
     return eligible[0] if tie_rule == "smallest" else eligible[-1]
 
@@ -415,46 +401,30 @@ def e_functional(state: SequenceState, z) -> Fraction | float:
     """
     z = _check_scalar(state, z)
     n = state.n
-    pts = state.points
+    pts = state.exact_points
     j = bisect.bisect_right(pts, z)
-    if state.backend is Backend.RATIONAL:
-        a = sum((p * p for p in pts[:j]), Fraction(0))
-        b = sum(((1 - p) * (1 - p) for p in pts[j:]), Fraction(0))
-        n_third = Fraction(n, 3)
-    else:
-        a = math.fsum(p * p for p in pts[:j])
-        b = math.fsum((1.0 - p) ** 2 for p in pts[j:])
-        n_third = n / 3
-    return -j * z * z + a + j * (1 - z) * (1 - z) + b + n * z * z - n_third
+    a = sum(p * p for p in pts[:j])
+    b = sum((1 - p) * (1 - p) for p in pts[j:])
+    return state._scalar(-j * z * z + a + j * (1 - z) * (1 - z) + b + n * z * z - Fraction(n, 3))
 
 
 def next_point_via_e(state: SequenceState, tie_rule: str = "smallest") -> Fraction:
     """Greedy step through the independent objective E(z) + (z^3+(1-z)^3)/3.
 
     Shares no functional-evaluation code with :func:`next_point`; the two
-    must select identical points, which the verification suite checks.  In
-    the float backend, values within the state's ``tie_tol`` of the minimum
-    count as tied.
+    must select identical points, which the verification suite checks.  The
+    objective is evaluated exactly on the exact points in either backend, so
+    candidates tie exactly when their values are equal.
     """
     _check_tie_rule(tie_rule)
     n = state.n
     q = 2 * n + 2
-    pts = state.points
-    exact = state.backend is Backend.RATIONAL
-    if exact:
-        zero = Fraction(0)
-        n_third = Fraction(n, 3)
-        third = Fraction(1, 3)
-        cands = [Fraction(2 * m + 1, q) for m in range(n + 1)]
-    else:
-        zero = 0.0
-        n_third = n / 3
-        third = 1.0 / 3.0
-        cands = [(2 * m + 1) / q for m in range(n + 1)]
-    pre = [zero] * (n + 1)  # pre[i] = sum of x_k^2 over the i smallest points
+    pts = state.exact_points
+    n_third = Fraction(n, 3)
+    pre = [0] * (n + 1)  # pre[i] = sum of x_k^2 over the i smallest points
     for k, p in enumerate(pts):
         pre[k + 1] = pre[k] + p * p
-    suf = [zero] * (n + 1)  # suf[i] = sum of (1-x_k)^2 over points[i:]
+    suf = [0] * (n + 1)  # suf[i] = sum of (1-x_k)^2 over points[i:]
     for k in range(n - 1, -1, -1):
         suf[k] = suf[k + 1] + (1 - pts[k]) * (1 - pts[k])
     objectives = []
@@ -462,15 +432,15 @@ def next_point_via_e(state: SequenceState, tie_rule: str = "smallest") -> Fracti
     below = []
     t = 0
     for m in range(n + 1):
-        c = cands[m]
+        c = Fraction(2 * m + 1, q)
         while t < n and pts[t] <= c:
             t += 1
         collides.append(t > 0 and pts[t - 1] == c)
         below.append(t)
         e = -t * c * c + pre[t] + t * (1 - c) * (1 - c) + suf[t] + n * c * c - n_third
         cc = 1 - c
-        objectives.append(e + (c * c * c + cc * cc * cc) * third)
-    m = _select(objectives, collides, None if exact else state.tie_tol, tie_rule)
+        objectives.append(e + (c * c * c + cc * cc * cc) / 3)
+    m = _select(objectives, collides, tie_rule)
     return state._insert_candidate(m, below[m])
 
 

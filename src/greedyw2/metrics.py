@@ -15,8 +15,9 @@ g_n(x) = #{k : x_k <= x} - n x the module computes, in closed form:
 The two quadratic functionals coincide after scaling,
 int g_n^2 = n^2 W2^2, because sum (2k-1)^2 = n(4n^2-1)/3 makes every
 point-independent term cancel; the test suite re-derives this before any
-code relies on it.  All closed forms are exact over Fractions and use
-compensated float summation otherwise.
+code relies on it.  W2^2, int g^2 and max|H| are computed exactly on the
+points (a float is an exact binary fraction) and rounded once to float when
+the input holds floats; exact input gives exact Fractions.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "metric_series",
     "report",
     "star_discrepancy",
+    "star_over_log",
     "step_identity_check",
     "w2_squared",
 ]
@@ -59,41 +61,31 @@ def _validated(points: Iterable, allow_empty: bool = False) -> list:
     return pts
 
 
-def _all_exact(pts: Sequence) -> bool:
-    return all(is_rational_scalar(p) for p in pts)
+def _like(points: Sequence, value: Fraction) -> Fraction | float:
+    """The exact value as a Fraction for exact points, else rounded to float."""
+    return value if all(is_rational_scalar(p) for p in points) else float(value)
 
 
 def w2_squared(points: Iterable) -> Fraction | float:
     """Squared W2 distance between the empirical measure of sorted points
     and Lebesgue measure on [0,1].
 
-    Expands sum_i int_{(i-1)/n}^{i/n} (x - x_i)^2 dx; exact over Fractions.
+    Expands sum_i int_{(i-1)/n}^{i/n} (x - x_i)^2 dx exactly.
     """
     pts = _validated(points)
     n = len(pts)
-    if _all_exact(pts):
-        s2 = sum((p * p for p in pts), Fraction(0))
-        s1 = sum(((2 * k - 1) * p for k, p in enumerate(pts, 1)), Fraction(0))
-        return (Fraction(n * n, 3) + n * s2 - s1) / (n * n)
-    s2 = math.fsum(p * p for p in pts)
-    s1 = math.fsum((2 * k - 1) * p for k, p in enumerate(pts, 1))
-    return (n * n / 3.0 + n * s2 - s1) / (n * n)
+    x = [Fraction(p) for p in pts]
+    s2 = sum(p * p for p in x)
+    s1 = sum((2 * k - 1) * p for k, p in enumerate(x, 1))
+    return _like(pts, (Fraction(n * n, 3) + n * s2 - s1) / (n * n))
 
 
 def l2_discrepancy_squared(points: Iterable) -> Fraction | float:
     """int_0^1 (f_n(x) - nx)^2 dx for the sorted multiset (count scale)."""
     pts = _validated(points)
     n = len(pts)
-    if _all_exact(pts):
-        acc = Fraction(0)
-        for k, p in enumerate(pts, 1):
-            d = p - Fraction(2 * k - 1, 2 * n)
-            acc += d * d
-        return n * acc + Fraction(1, 12)
-    two_n = 2.0 * n
-    return n * math.fsum(
-        (p - (2 * k - 1) / two_n) ** 2 for k, p in enumerate(pts, 1)
-    ) + 1.0 / 12.0
+    acc = sum((Fraction(p) - Fraction(2 * k - 1, 2 * n)) ** 2 for k, p in enumerate(pts, 1))
+    return _like(pts, n * acc + Fraction(1, 12))
 
 
 def star_discrepancy(points: Iterable) -> Fraction | float:
@@ -153,24 +145,17 @@ def max_abs_H(g: GFunction) -> Fraction | float:
     n = g.n
     if n == 0:
         return Fraction(0)
-    pts = g.points
-    exact = _all_exact(pts)
-    half = Fraction(1, 2) if exact else 0.5
-    breaks = g.breakpoints()
-    h = Fraction(0) if exact else 0.0
-    best = abs(h)  # H(0) = 0
-    for i in range(len(breaks) - 1):
-        b, b2 = breaks[i], breaks[i + 1]
+    pts = [Fraction(p) for p in g.points]
+    breaks = [Fraction(b) for b in g.breakpoints()]
+    h = best = Fraction(0)  # H(0) = 0
+    for b, b2 in zip(breaks, breaks[1:]):
         c = bisect.bisect_right(pts, b)  # count on the open segment (b, b2)
-        zero = Fraction(c, n) if exact else c / n
+        zero = Fraction(c, n)
         if b < zero < b2:
-            hc = h + c * (zero - b) - n * (zero * zero - b * b) * half
-            if abs(hc) > best:
-                best = abs(hc)
-        h = h + c * (b2 - b) - n * (b2 * b2 - b * b) * half
-        if abs(h) > best:
-            best = abs(h)
-    return best
+            best = max(best, abs(h + c * (zero - b) - n * (zero * zero - b * b) / 2))
+        h += c * (b2 - b) - n * (b2 * b2 - b * b) / 2
+        best = max(best, abs(h))
+    return _like(g.points, best)
 
 
 def step_identity_check(state: SequenceState, chosen) -> Fraction | float:
@@ -178,20 +163,18 @@ def step_identity_check(state: SequenceState, chosen) -> Fraction | float:
 
     Adding a point at z to a state with deviation g_n must satisfy
     int g_{n+1}^2 = int g_n^2 + E(z) + (z^3 + (1-z)^3)/3.  Returns
-    int g_{n+1}^2 minus the right-hand side: exactly zero in the rational
-    backend, within roundoff in the float backend.  ``chosen`` may be the
-    exact fraction returned by the greedy step even for float states.
+    int g_{n+1}^2 minus the right-hand side, computed exactly on the state's
+    exact points and returned in the backend's scalar type.  ``chosen`` may
+    be the exact fraction returned by the greedy step even for float states.
     """
-    exact = state.backend is Backend.RATIONAL
-    z = Fraction(chosen) if exact else float(chosen)
-    pts = state.points
-    l2_old = l2_discrepancy_squared(pts) if pts else (Fraction(0) if exact else 0.0)
-    new_pts = sorted(pts + [z])
-    l2_new = l2_discrepancy_squared(new_pts)
-    e = e_functional(state, z)
+    exact = SequenceState(state.exact_points, backend=Backend.RATIONAL)
+    z = Fraction(chosen)
+    pts = exact.points
+    l2_old = l2_discrepancy_squared(pts) if pts else 0
+    l2_new = l2_discrepancy_squared(sorted(pts + [z]))
     w = 1 - z
-    cubic = (z * z * z + w * w * w) / 3 if exact else (z**3 + w**3) / 3.0
-    return l2_new - (l2_old + e + cubic)
+    residual = l2_new - (l2_old + e_functional(exact, z) + (z**3 + w**3) / 3)
+    return state._scalar(residual)
 
 
 @dataclass(frozen=True)
@@ -207,9 +190,14 @@ class DiscrepancyReport:
     @property
     def star_over_log(self) -> float | None:
         """star / ln n; undefined at n = 1."""
-        if self.n <= 1:
-            return None
-        return float(self.star_disc) / math.log(self.n)
+        return star_over_log(self.n, self.star_disc)
+
+
+def star_over_log(n: int, star) -> float | None:
+    """Count-scale star discrepancy divided by ln(n); undefined at n <= 1."""
+    if n <= 1:
+        return None
+    return float(star) / math.log(n)
 
 
 def report(points: Iterable) -> DiscrepancyReport:

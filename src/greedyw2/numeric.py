@@ -3,11 +3,9 @@
 Every quantity in this package lives in one of two backends, fixed per run:
 exact ``fractions.Fraction`` values (arbitrary precision, always reduced,
 positive denominator) or IEEE-754 doubles.  Values of the two are never
-mixed in one public operation.  The greedy engine runs the same exact
-decision procedure in both backends, so the backend fixes only the scalar
-type of the values it takes and hands out.  The absolute tie tolerance
-:data:`DEFAULT_TIE_TOL` is used only by the float route of the independent
-E-functional cross-check (:func:`greedyw2.greedy.next_point_via_e`).
+mixed in one public operation.  The greedy engine and every evaluation
+route compute on exact values in both backends, so the backend fixes only
+the scalar type of the values they take and hand out.
 """
 
 from __future__ import annotations
@@ -21,23 +19,15 @@ __all__ = [
     "Backend",
     "BackendMismatch",
     "ConfigError",
-    "DEFAULT_TIE_TOL",
     "DomainError",
     "NAMED_SEEDS",
-    "Rational",
     "format_rational",
     "is_float_scalar",
     "is_rational_scalar",
     "parse_rational",
     "parse_seed",
-    "rational_from_parts",
-    "scalar_cmp",
     "seed_help",
 ]
-
-# Reduced arbitrary-precision fraction; Fraction already guarantees gcd == 1
-# and a positive denominator, which is exactly the invariant we need.
-Rational = Fraction
 
 
 class DomainError(ValueError):
@@ -66,20 +56,8 @@ class Backend(enum.Enum):
             ) from None
 
 
-#: Absolute tolerance on functional values below which the float route of
-#: the E-functional cross-check treats two candidates as tied.  Never used
-#: for ordering, and not read by the greedy engine.
-DEFAULT_TIE_TOL = 1e-12
-
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)$")
-
-
-def rational_from_parts(j: int, q: int) -> Fraction:
-    """Reduced fraction j/q.  The denominator must be positive."""
-    if q <= 0:
-        raise DomainError(f"denominator must be positive, got {q}")
-    return Fraction(j, q)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -107,34 +85,6 @@ def is_rational_scalar(x: object) -> bool:
 
 def is_float_scalar(x: object) -> bool:
     return isinstance(x, float)
-
-
-def _backend_of(x: object) -> Backend:
-    if is_rational_scalar(x):
-        return Backend.RATIONAL
-    if is_float_scalar(x):
-        return Backend.FLOAT
-    raise BackendMismatch(f"not a backend scalar: {x!r} ({type(x).__name__})")
-
-
-def scalar_cmp(a, b) -> int:
-    """Three-way exact comparison of two scalars from the same backend.
-
-    Integers count as rational scalars.  Mixing a Fraction with a float is a
-    contract violation and raises :class:`BackendMismatch`; tolerances play
-    no role here.
-    """
-    ba, bb = _backend_of(a), _backend_of(b)
-    if ba is not bb:
-        raise BackendMismatch(
-            f"cannot compare {type(a).__name__} with {type(b).__name__}: "
-            "scalars belong to different backends"
-        )
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 #: Named seed constants accepted by the CLI and the seed parser.  Each maps

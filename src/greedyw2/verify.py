@@ -316,7 +316,7 @@ def suite_oracle_equiv(
         # distance from the grid minimizer to the nearest tied candidate.
         evals = enumerate_candidates(state)
         best = min(c.f_value for c in evals)
-        tied = [float(c.value) for c in evals if c.f_value <= best + state.tie_tol]
+        tied = [float(c.value) for c in evals if c.f_value == best]
         worst_gap = max(worst_gap, min(abs(grid_min - t) for t in tied))
         chosen = float(next_point(state.copy()))
         with_chosen = metrics.w2_squared(sorted([*state.points, chosen]))

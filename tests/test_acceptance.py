@@ -165,7 +165,7 @@ def test_criterion_07_candidate_argmin_matches_dense_grid():
         grid_min = oracle.grid_argmin_w2(state, grid)
         evals = enumerate_candidates(state)
         best = min(c.f_value for c in evals)
-        tied = [float(c.value) for c in evals if c.f_value <= best + state.tie_tol]
+        tied = [float(c.value) for c in evals if c.f_value == best]
         worst_gap = max(worst_gap, min(abs(grid_min - t) for t in tied))
         assert next_point(state.copy()) == next_point_via_e(state.copy())
     assert worst_gap <= cell + 1e-9

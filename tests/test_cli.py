@@ -415,13 +415,20 @@ class TestParser:
         assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
     def test_module_entry_point(self):
+        import os
         import subprocess
         import sys
 
+        import greedyw2
+
+        # The child imports the package under test, installed or not.
+        src = os.path.dirname(os.path.dirname(greedyw2.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "greedyw2", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "greedyw2" in proc.stdout

@@ -28,6 +28,9 @@ F = Fraction
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=48)
 seed_lists = st.lists(unit_fractions, min_size=0, max_size=6)
+dyadic_seed_lists = st.lists(
+    st.integers(0, 1024).map(lambda k: k / 1024), min_size=0, max_size=6
+)
 
 
 def rational_state(seeds):
@@ -121,10 +124,6 @@ class TestStateBasics:
         with pytest.raises(DomainError):
             extend(state, 3)
 
-    def test_rejects_negative_tie_tolerance(self):
-        with pytest.raises(ConfigError):
-            SequenceState([], backend=Backend.FLOAT, tie_tol=-1e-9)
-
     def test_unknown_tie_rule(self):
         with pytest.raises(ConfigError):
             next_point(rational_state([]), tie_rule="middle")
@@ -160,10 +159,17 @@ class TestGreedyProperties:
                 if c.f_value == best and c.value not in pre.points:
                     assert chosen <= c.value
 
-    @given(seed_lists, st.integers(1, 6))
-    def test_two_routes_agree(self, seeds, steps):
-        a = rational_state(seeds)
-        b = rational_state(seeds)
+    @given(
+        st.one_of(
+            seed_lists.map(lambda s: (s, Backend.RATIONAL)),
+            dyadic_seed_lists.map(lambda s: (s, Backend.FLOAT)),
+        ),
+        st.integers(1, 6),
+    )
+    def test_two_routes_agree(self, instance, steps):
+        seeds, backend = instance
+        a = SequenceState(seeds, backend=backend)
+        b = SequenceState(seeds, backend=backend)
         for _ in range(steps):
             assert next_point(a) == next_point_via_e(b)
 
@@ -217,13 +223,17 @@ class TestBackendAgreement:
     def test_full_precision_seed_takes_exact_winner_on_both_backends(self):
         # A seed one ulp off 1/3 makes F(1/6) and F(1/2) differ by ~4e-16
         # after two steps: a strict winner whose gap is below one float64
-        # ulp of the functional values.  Both backends pick it.
+        # ulp of the functional values.  Both backends pick it, and so does
+        # the E route on the float backend.
         seed = F(0.3333333333333333)
         exact = generate_sequence([seed], 3, backend=Backend.RATIONAL)
         approx = generate_sequence([float(seed)], 3, backend=Backend.FLOAT)
         assert [c.raw for c in exact.history] == [c.raw for c in approx.history]
         assert exact.history[0].raw == (3, 4)
         assert exact.history[1].raw == (3, 6)
+        via_e = SequenceState([float(seed)], backend=Backend.FLOAT)
+        extend(via_e, 3, via_e=True)
+        assert [c.raw for c in via_e.history] == [(3, 4), (3, 6)]
         pre = SequenceState([seed, F(3, 4)], backend=Backend.RATIONAL)
         gap = kritzinger_f(pre, F(1, 6)) - kritzinger_f(pre, F(1, 2))
         assert 0 < gap < 1e-12

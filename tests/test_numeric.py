@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from greedyw2.numeric import (
     Backend,
-    BackendMismatch,
     ConfigError,
     DomainError,
     NAMED_SEEDS,
@@ -15,8 +14,6 @@ from greedyw2.numeric import (
     is_rational_scalar,
     parse_rational,
     parse_seed,
-    rational_from_parts,
-    scalar_cmp,
     seed_help,
 )
 
@@ -49,13 +46,6 @@ class TestRationalText:
         with pytest.raises(DomainError):
             parse_rational(bad)
 
-    def test_rational_from_parts_needs_positive_denominator(self):
-        assert rational_from_parts(3, 6) == Fraction(1, 2)
-        with pytest.raises(DomainError):
-            rational_from_parts(1, 0)
-        with pytest.raises(DomainError):
-            rational_from_parts(1, -2)
-
 
 class TestScalarPredicates:
     def test_rational_scalars(self):
@@ -67,20 +57,6 @@ class TestScalarPredicates:
     def test_float_scalars(self):
         assert is_float_scalar(0.5)
         assert not is_float_scalar(Fraction(1, 2))
-
-
-class TestScalarCmp:
-    def test_orders_rationals(self):
-        assert scalar_cmp(Fraction(1, 3), Fraction(1, 2)) == -1
-        assert scalar_cmp(Fraction(1, 2), Fraction(1, 2)) == 0
-        assert scalar_cmp(1, Fraction(1, 2)) == 1
-
-    def test_orders_floats(self):
-        assert scalar_cmp(0.25, 0.75) == -1
-
-    def test_rejects_mixed_backends(self):
-        with pytest.raises(BackendMismatch):
-            scalar_cmp(Fraction(1, 2), 0.5)
 
 
 class TestParseSeed:

@@ -125,13 +125,13 @@ class TestGridArgmin:
             assert abs(got - chosen) <= 1 / grid.resolution + 1e-9
 
     def test_tied_minimizers_both_acceptable(self):
-        # {1/3, 4/5} ties candidates 1/6 and 1/2 at the same functional
-        # value; the grid may land near either.
-        state = SequenceState([1 / 3, 4 / 5], backend=Backend.FLOAT)
+        # {1/2} ties candidates 1/4 and 3/4 exactly (F = -9/8); the grid
+        # may land near either.
+        state = SequenceState([0.5], backend=Backend.FLOAT)
         evals = enumerate_candidates(state)
         best = min(c.f_value for c in evals)
-        tied = [float(c.value) for c in evals if abs(c.f_value - best) <= state.tie_tol]
-        assert len(tied) == 2
+        tied = [float(c.value) for c in evals if c.f_value == best]
+        assert tied == [0.25, 0.75]
         got = grid_argmin_w2(state, GridSpec(resolution=10**5))
         assert min(abs(got - t) for t in tied) <= 1 / 10**5 + 1e-9
 
