@@ -1,11 +1,13 @@
 """Run configuration and deterministic file formats.
 
-Every artifact written by the CLI goes through this module so that the
-on-disk bytes are a pure function of the run configuration: metadata is
-emitted in a fixed key order, floats are serialized with ``repr`` (shortest
-round-trip form), and files always use ``\\n`` line endings.  A dump file
-can be read back and fed to the metrics pipeline without re-running the
-generator.
+Every artifact written by the CLI (dump, metrics report, comparison) is a
+table: a metadata dict plus rows of plain cells.  ``write_dump``,
+``write_report`` and ``write_compare`` only build those rows; the one
+writer, ``write_table``, owns the on-disk layout, so the bytes are a pure
+function of the run configuration: metadata is emitted in a fixed key
+order, floats are serialized with ``repr`` (shortest round-trip form), and
+files always use ``\\n`` line endings.  A dump file can be read back and fed
+to the metrics pipeline without re-running the generator.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 from ._version import __version__
 from .classical import (
@@ -192,58 +196,42 @@ def dump_values(rows: Sequence[DumpRow]) -> list[float]:
 # serialization
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_table(
+    fh: IO[str], meta: dict[str, str], columns: Sequence[str], rows: Iterable[tuple], fmt: str
+) -> None:
+    """Write one artifact: metadata plus rows of plain int/float/str/None cells.
 
-
-def _write_meta_lines(fh: IO[str], meta: dict[str, str]) -> None:
-    for key, value in meta.items():
-        fh.write(f"# {key}={value}\n")
-
-
-def write_dump_csv(fh: IO[str], meta: dict[str, str], rows: Sequence[DumpRow]) -> None:
-    _write_meta_lines(fh, meta)
-    fh.write(",".join(DUMP_COLUMNS) + "\n")
-    for row in rows:
-        cells = (
-            str(row.step),
-            _cell(row.raw_numerator),
-            _cell(row.raw_denominator),
-            _cell(row.reduced),
-            repr(row.float_value),
-        )
-        fh.write(",".join(cells) + "\n")
-
-
-def _row_dict(row: DumpRow) -> dict:
-    return {
-        "step": row.step,
-        "raw_numerator": row.raw_numerator,
-        "raw_denominator": row.raw_denominator,
-        "reduced": None if row.reduced is None else format_rational(row.reduced),
-        "float_value": row.float_value,
-    }
-
-
-def write_dump_json(fh: IO[str], meta: dict[str, str], rows: Sequence[DumpRow]) -> None:
-    payload = {"meta": meta, "rows": [_row_dict(r) for r in rows]}
-    fh.write(json.dumps(payload, indent=2))
-    fh.write("\n")
+    CSV is ``# key=value`` lines, the header, then one line per row (floats
+    as ``repr``, ``None`` as an empty cell).  JSON is
+    ``{"meta": ..., "rows": [{column: cell}, ...]}`` with ``indent=2`` and a
+    trailing newline.  Any other format raises ``ConfigError``.
+    """
+    if fmt == "csv":
+        for key, value in meta.items():
+            fh.write(f"# {key}={value}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:  # str of a float is its shortest round-trip repr
+            fh.write(",".join(["" if v is None else str(v) for v in row]) + "\n")
+    elif fmt == "json":
+        records = [dict(zip(columns, row)) for row in rows]
+        fh.write(json.dumps({"meta": meta, "rows": records}, indent=2))
+        fh.write("\n")
+    else:
+        raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
 
 
 def write_dump(fh: IO[str], meta: dict[str, str], rows: Sequence[DumpRow], fmt: str) -> None:
-    if fmt == "csv":
-        write_dump_csv(fh, meta, rows)
-    elif fmt == "json":
-        write_dump_json(fh, meta, rows)
-    else:
-        raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
+    table = (
+        (
+            row.step,
+            row.raw_numerator,
+            row.raw_denominator,
+            None if row.reduced is None else format_rational(row.reduced),
+            row.float_value,
+        )
+        for row in rows
+    )
+    write_table(fh, meta, DUMP_COLUMNS, table, fmt)
 
 
 def _parse_optional_int(cell: str, lineno: int, column: str) -> int | None:
@@ -354,92 +342,30 @@ def read_dump_file(path: str) -> tuple[dict[str, str], list[DumpRow]]:
 # metric reports
 
 
-def _report_cells(series: dict, i: int, star_scale: str) -> tuple[str, ...]:
-    n = int(series["n"][i])
-    star = float(series["star"][i])
-    star_disc = star / n if star_scale == "normalized" else star
-    ratio = star_over_log(n, star)
-    over_log = "" if ratio is None else repr(ratio)
-    return (
-        str(n),
-        repr(float(series["w2"][i])),
-        repr(float(series["l2"][i])),
-        repr(star_disc),
-        repr(float(series["maxh"][i])),
-        over_log,
-    )
-
-
-def write_report_csv(fh: IO[str], meta: dict[str, str], series: dict, star_scale: str = "count") -> None:
-    _write_meta_lines(fh, meta)
-    fh.write(",".join(REPORT_COLUMNS) + "\n")
-    for i in range(len(series["n"])):
-        fh.write(",".join(_report_cells(series, i, star_scale)) + "\n")
-
-
-def write_report_json(fh: IO[str], meta: dict[str, str], series: dict, star_scale: str = "count") -> None:
-    records = []
-    for i in range(len(series["n"])):
-        cells = _report_cells(series, i, star_scale)
-        records.append(
-            {
-                col: (None if cell == "" else (int(cell) if col == "n" else float(cell)))
-                for col, cell in zip(REPORT_COLUMNS, cells)
-            }
-        )
-    fh.write(json.dumps({"meta": meta, "rows": records}, indent=2))
-    fh.write("\n")
+def _column(series: dict, key: str) -> list[float]:
+    # Plain Python numbers, so that cells print as Python's repr rather than
+    # numpy's scalar formatting; json also rejects numpy integers (hence the
+    # int() on the n columns).
+    return np.asarray(series[key], dtype=np.float64).tolist()
 
 
 def write_report(fh: IO[str], meta: dict[str, str], series: dict, fmt: str, star_scale: str = "count") -> None:
-    if fmt == "csv":
-        write_report_csv(fh, meta, series, star_scale)
-    elif fmt == "json":
-        write_report_json(fh, meta, series, star_scale)
-    else:
-        raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
-
-
-def write_compare_csv(
-    fh: IO[str], meta: dict[str, str], labeled_series: Iterable[tuple[str, dict]]
-) -> None:
-    _write_meta_lines(fh, meta)
-    fh.write(",".join(COMPARE_COLUMNS) + "\n")
-    for label, series in labeled_series:
-        for i in range(len(series["n"])):
-            n = int(series["n"][i])
-            star = float(series["star"][i])
-            ratio = star_over_log(n, star)
-            over_log = "" if ratio is None else repr(ratio)
-            fh.write(f"{label},{n},{repr(star)},{over_log}\n")
-
-
-def write_compare_json(
-    fh: IO[str], meta: dict[str, str], labeled_series: Iterable[tuple[str, dict]]
-) -> None:
-    records = []
-    for label, series in labeled_series:
-        for i in range(len(series["n"])):
-            n = int(series["n"][i])
-            star = float(series["star"][i])
-            records.append(
-                {
-                    "sequence": label,
-                    "n": n,
-                    "star_disc": star,
-                    "star_over_log": star_over_log(n, star),
-                }
-            )
-    fh.write(json.dumps({"meta": meta, "rows": records}, indent=2))
-    fh.write("\n")
+    ns = [int(n) for n in series["n"]]
+    table = (
+        (n, w2, l2, star / n if star_scale == "normalized" else star, maxh, star_over_log(n, star))
+        for n, w2, l2, star, maxh in zip(
+            ns, *(_column(series, key) for key in ("w2", "l2", "star", "maxh"))
+        )
+    )
+    write_table(fh, meta, REPORT_COLUMNS, table, fmt)
 
 
 def write_compare(
     fh: IO[str], meta: dict[str, str], labeled_series: Iterable[tuple[str, dict]], fmt: str
 ) -> None:
-    if fmt == "csv":
-        write_compare_csv(fh, meta, labeled_series)
-    elif fmt == "json":
-        write_compare_json(fh, meta, list(labeled_series))
-    else:
-        raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
+    table = (
+        (label, n, star, star_over_log(n, star))
+        for label, series in labeled_series
+        for n, star in zip([int(n) for n in series["n"]], _column(series, "star"))
+    )
+    write_table(fh, meta, COMPARE_COLUMNS, table, fmt)

@@ -10,7 +10,8 @@ g_n(x) = #{k : x_k <= x} - n x the module computes, in closed form:
     star      sup_x |g_n(x)| = max_k max(|k - n x_k|, |(k-1) - n x_k|)
               (count scale; divide by n for the classical normalization)
     max|H|    sup_x |int_0^x g_n|, found exactly from the piecewise-quadratic
-              structure of H (breakpoints, interior zeros of g, endpoints).
+              structure of H (breakpoints, interior zeros of g, endpoints)
+              by ``lemma.PiecewiseFunction``.
 
 The two quadratic functionals coincide after scaling,
 int g_n^2 = n^2 W2^2, because sum (2k-1)^2 = n(4n^2-1)/3 makes every
@@ -26,11 +27,12 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .greedy import SequenceState, e_functional
+from .lemma import PiecewiseFunction
 from .numeric import Backend, DomainError, is_rational_scalar
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "max_abs_H",
     "metric_series",
     "report",
+    "sorted_prefixes",
     "star_discrepancy",
     "star_over_log",
     "step_identity_check",
@@ -123,39 +126,18 @@ class GFunction:
     def eval(self, x):
         return bisect.bisect_right(self.points, x) - self.n * x
 
-    def breakpoints(self) -> list:
-        """0, the distinct point values, 1 (strictly increasing)."""
-        out = [0]
-        for p in self.points:
-            if p != out[-1]:
-                out.append(p)
-        if out[-1] != 1:
-            out.append(1)
-        return out
-
 
 def max_abs_H(g: GFunction) -> Fraction | float:
     """sup_x |H(x)| with H(x) = int_0^x g, computed exactly.
 
-    H is piecewise quadratic: on a segment where the count is c it has
-    derivative c - n x.  The maximum of |H| over [0,1] is attained at a
-    segment endpoint or at an interior zero x = c/n of g, so enumerating
-    those finitely many candidates is exact.
+    H is piecewise quadratic, so its extrema lie at breakpoints or at
+    interior zeros of g; ``lemma.PiecewiseFunction`` scans that finite set.
+    The points are converted to Fractions first (PiecewiseFunction computes
+    in floats on float data), and the exact maximum is rounded once for
+    float input.
     """
-    n = g.n
-    if n == 0:
-        return Fraction(0)
-    pts = [Fraction(p) for p in g.points]
-    breaks = [Fraction(b) for b in g.breakpoints()]
-    h = best = Fraction(0)  # H(0) = 0
-    for b, b2 in zip(breaks, breaks[1:]):
-        c = bisect.bisect_right(pts, b)  # count on the open segment (b, b2)
-        zero = Fraction(c, n)
-        if b < zero < b2:
-            best = max(best, abs(h + c * (zero - b) - n * (zero * zero - b * b) / 2))
-        h += c * (b2 - b) - n * (b2 * b2 - b * b) / 2
-        best = max(best, abs(h))
-    return _like(g.points, best)
+    exact = PiecewiseFunction.from_counting_deviation([Fraction(p) for p in g.points])
+    return _like(g.points, exact.max_abs_antiderivative())
 
 
 def step_identity_check(state: SequenceState, chosen) -> Fraction | float:
@@ -232,6 +214,27 @@ def _maxh_sorted(x: np.ndarray) -> float:
     return best
 
 
+def sorted_prefixes(values: Sequence[float], every: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, the first n values sorted) for every ``every``-th n and for
+    the full length.
+
+    Each value is inserted into one sorted buffer (``searchsorted`` plus a
+    shift), and the yielded array is a view of that buffer: the next
+    insertion overwrites it, so copy it to keep it.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    total = vals.size
+    buf = np.empty(total, dtype=np.float64)
+    for i in range(total):
+        v = vals[i]
+        pos = int(np.searchsorted(buf[:i], v))
+        buf[pos + 1 : i + 1] = buf[pos:i]
+        buf[pos] = v
+        n = i + 1
+        if n % every == 0 or n == total:
+            yield n, buf[:n]
+
+
 def metric_series(
     values: Sequence[float],
     metrics: Sequence[str] = ("w2", "l2", "star", "maxh"),
@@ -245,8 +248,7 @@ def metric_series(
     real slack, not for near-tie decisions.
     """
     vals = np.asarray(values, dtype=np.float64)
-    total = vals.size
-    if total == 0:
+    if vals.size == 0:
         raise DomainError("empty sequence")
     if every < 1:
         raise DomainError(f"stride must be >= 1, got {every}")
@@ -254,18 +256,9 @@ def metric_series(
     unknown = want - {"w2", "l2", "star", "maxh"}
     if unknown:
         raise DomainError(f"unknown metrics {sorted(unknown)}")
-    buf = np.empty(total, dtype=np.float64)
     ns: list[int] = []
     cols: dict[str, list[float]] = {name: [] for name in want}
-    for i in range(total):
-        v = vals[i]
-        pos = int(np.searchsorted(buf[:i], v))
-        buf[pos + 1 : i + 1] = buf[pos:i]
-        buf[pos] = v
-        n = i + 1
-        if n % every and n != total:
-            continue
-        x = buf[:n]
+    for n, x in sorted_prefixes(vals, every):
         k2 = 2.0 * np.arange(1, n + 1) - 1.0  # odd weights 1, 3, ..., 2n-1
         ns.append(n)
         if "w2" in want:

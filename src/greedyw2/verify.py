@@ -9,6 +9,7 @@ two sides.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass, field
@@ -86,18 +87,10 @@ def l2_series_fsum(values) -> np.ndarray:
     increment check needs.
     """
     vals = np.asarray(values, dtype=np.float64)
-    total = vals.size
-    buf = np.empty(total, dtype=np.float64)
-    out = np.empty(total, dtype=np.float64)
-    for i in range(total):
-        v = vals[i]
-        pos = int(np.searchsorted(buf[:i], v))
-        buf[pos + 1 : i + 1] = buf[pos:i]
-        buf[pos] = v
-        n = i + 1
-        x = buf[:n]
+    out = np.empty(vals.size, dtype=np.float64)
+    for n, x in metrics.sorted_prefixes(vals):
         d = x - (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-        out[i] = n * math.fsum((d * d).tolist()) + 1.0 / 12.0
+        out[n - 1] = n * math.fsum((d * d).tolist()) + 1.0 / 12.0
     return out
 
 
@@ -354,23 +347,14 @@ SUITES = {
     "oracle_equiv": suite_oracle_equiv,
 }
 
-_DEFAULT_BUDGETS = {
-    "theorem1": 200,
-    "kritzinger_bound": 2000,
-    "prop2": 2000,
-    "cn_zero": 100,
-    "main_lemma": 1000,
-    "theorem2_windows": 10000,
-    "oracle_equiv": 100,
-}
-
 
 def run_suite(name: str, budget: int | None = None, seed: int = 0, **kwargs) -> SuiteReport:
     if name not in SUITES:
         raise ConfigError(
             f"unknown suite {name!r}; expected one of {sorted(SUITES)}"
         )
-    budget = _DEFAULT_BUDGETS[name] if budget is None else budget
+    if budget is None:
+        budget = inspect.signature(SUITES[name]).parameters["budget"].default
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
     checks = SUITES[name](budget=budget, seed=seed, **kwargs)

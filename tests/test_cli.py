@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -379,6 +380,78 @@ class TestVerify:
             "1000",
         )
         assert seen["argmin_resolution"] == 1000
+
+
+
+_KRITZ_200 = ("--sequence", "kritzinger", "--seeds", "half", "--count", "200")
+_COMPARE_DUP = (
+    "compare",
+    "--series",
+    "kritzinger:seeds=half",
+    "--series",
+    "vdc",
+    "--series",
+    "vdc",
+    "--count",
+    "100",
+)
+
+
+class TestGoldenBytes:
+    """SHA-256 of small CLI outputs, pinned so that a change to the writers
+    cannot alter the bytes unnoticed.  The metadata carries the package
+    version, so a version bump changes every digest."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(
+                ("generate", *_KRITZ_200),
+                "dd9de32082826e375e2d67cc2aabc45c3dc2eb4ad1ae82bd78d546fc655a3d98",
+                id="generate-csv",
+            ),
+            pytest.param(
+                ("generate", *_KRITZ_200, "--format", "json"),
+                "da29f062cb74bf7d3b267878d656bef9d6e5ff164fbdaf37ba7367a5cbced0fc",
+                id="generate-json",
+            ),
+            pytest.param(
+                ("generate", "--sequence", "vdc", "--backend", "rational", "--count", "64",
+                 "--format", "json"),
+                "ab6363101dc73beea28445436b45a6eb693c43bde8b18377c7f58a1b4195e573",
+                id="generate-vdc-rational-json",
+            ),
+            pytest.param(
+                ("metrics", *_KRITZ_200, "--every", "1"),
+                "85eac2a5094969c23a40146460554a44b9d921bc4a3cb5f3d36151e579a5ca0c",
+                id="metrics-csv",
+            ),
+            pytest.param(
+                ("metrics", *_KRITZ_200, "--every", "1", "--format", "json"),
+                "f7ae88cb94b53015b1523d73eada1e52a0601bc7b6f724fd9bb7b3cd9025a694",
+                id="metrics-json",
+            ),
+            pytest.param(
+                ("metrics", *_KRITZ_200, "--every", "1", "--star-scale", "normalized"),
+                "aa4046ee0eac6294692ec2435e644728f7f6af61810df37f289d40eabeee8313",
+                id="metrics-normalized-csv",
+            ),
+            pytest.param(
+                _COMPARE_DUP,
+                "88f73f8da2d1df00894df0a8eb24a62f38ddf0fd1f8ca539991d3eec57ea2e39",
+                id="compare-csv",
+            ),
+            pytest.param(
+                (*_COMPARE_DUP, "--format", "json"),
+                "3fc62e349959f43adfafe1c1128e79cc49bb26f37134e21bc03987c1256cf5be",
+                id="compare-json",
+            ),
+        ],
+    )
+    def test_output_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestParser:

@@ -144,9 +144,22 @@ class TestRoundTrip:
         write_dump(b, cfg.meta(), build_dump(cfg), "csv")
         assert a.getvalue() == b.getvalue()
 
-    def test_unknown_format(self):
-        with pytest.raises(ConfigError):
-            write_dump(io.StringIO(), {}, [], "yaml")
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda fh: write_dump(fh, {}, [], "yaml"),
+            lambda fh: write_report(
+                fh, {}, {"n": [], "w2": [], "l2": [], "star": [], "maxh": []}, "yaml"
+            ),
+            lambda fh: write_compare(fh, {}, [("a", {"n": [], "star": []})], "yaml"),
+        ],
+        ids=["dump", "report", "compare"],
+    )
+    def test_unknown_format(self, write):
+        buf = io.StringIO()
+        with pytest.raises(ConfigError, match="unknown format 'yaml'"):
+            write(buf)
+        assert buf.getvalue() == ""
 
 
 class TestDumpParsing:

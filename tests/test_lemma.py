@@ -107,6 +107,8 @@ class TestAntiderivative:
         lo, hi = g.antiderivative_extrema()
         assert (lo, hi) == (F(-1, 16), 0)
         assert g.max_abs_antiderivative() == F(1, 16)
+        repeated = PiecewiseFunction.from_counting_deviation([F(1, 4), F(1, 4), F(3, 4)])
+        assert repeated.breakpoints == (0, F(1, 4), F(3, 4), 1)
 
     def test_interior_vertex_found(self):
         # g = 1 - 2x changes sign at 1/2; H peaks there, not at a breakpoint

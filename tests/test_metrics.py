@@ -92,10 +92,6 @@ class TestGFunction:
         assert g.eval(F(1, 5)) == -2 * F(1, 5)
         assert g.eval(F(1)) == 0
 
-    def test_breakpoints_cover_unit_interval(self):
-        g = GFunction((F(1, 4), F(1, 4), F(3, 4)))
-        assert g.breakpoints() == [F(0), F(1, 4), F(3, 4), F(1)]
-
     def test_max_abs_h_single_point(self):
         assert max_abs_H(GFunction((F(1, 2),))) == F(1, 8)
 
