@@ -197,10 +197,11 @@ def report(points: Iterable) -> DiscrepancyReport:
 # -- batch float path ----------------------------------------------------
 
 
-def _maxh_sorted(x: np.ndarray) -> float:
+def _maxh_sorted(x: np.ndarray, c: np.ndarray) -> float:
+    """max|H| of the sorted floats ``x``; ``c`` is 0, 1, ..., len(x), the
+    count on each segment between consecutive breakpoints."""
     n = x.size
     b = np.concatenate(([0.0], x, [1.0]))
-    c = np.arange(n + 1, dtype=np.float64)  # count on segment i is i
     hinc = c * (b[1:] - b[:-1]) - (n / 2.0) * (b[1:] ** 2 - b[:-1] ** 2)
     hb = np.concatenate(([0.0], np.cumsum(hinc)))
     best = float(np.abs(hb).max())
@@ -218,21 +219,31 @@ def sorted_prefixes(values: Sequence[float], every: int = 1) -> Iterator[tuple[i
     """Yield (n, the first n values sorted) for every ``every``-th n and for
     the full length.
 
-    Each value is inserted into one sorted buffer (``searchsorted`` plus a
-    shift), and the yielded array is a view of that buffer: the next
-    insertion overwrites it, so copy it to keep it.
+    One sorted buffer grows by one stride per row: the stride's values are
+    sorted and merged in at their ``searchsorted`` ranks, so a row costs
+    O(n + s log s) for a stride of s values.  A stride of one is shifted in
+    place.  The yielded array is a view of that buffer: the next row
+    overwrites it, so copy it to keep it.  Raises DomainError for a stride
+    below 1.
     """
+    if every < 1:
+        raise DomainError(f"stride must be >= 1, got {every}")
     vals = np.asarray(values, dtype=np.float64)
     total = vals.size
     buf = np.empty(total, dtype=np.float64)
-    for i in range(total):
-        v = vals[i]
-        pos = int(np.searchsorted(buf[:i], v))
-        buf[pos + 1 : i + 1] = buf[pos:i]
-        buf[pos] = v
-        n = i + 1
-        if n % every == 0 or n == total:
-            yield n, buf[:n]
+    i = 0
+    while i < total:
+        n = min(i + every, total)
+        if n == i + 1:
+            v = vals[i]
+            pos = int(np.searchsorted(buf[:i], v))
+            buf[pos + 1 : n] = buf[pos:i]
+            buf[pos] = v
+        else:
+            chunk = np.sort(vals[i:n])
+            buf[:n] = np.insert(buf[:i], np.searchsorted(buf[:i], chunk), chunk)
+        yield n, buf[:n]
+        i = n
 
 
 def metric_series(
@@ -243,23 +254,30 @@ def metric_series(
     """Per-prefix metrics of an append-ordered float sequence.
 
     Returns arrays keyed by 'n' plus the requested metric names; rows cover
-    every ``every``-th prefix size and always the full length.  Uses
-    pairwise float summation: adequate for plotting and for bounds with
-    real slack, not for near-tie decisions.
+    every ``every``-th prefix size and always the full length.  The prefixes
+    come from ``sorted_prefixes``, and the per-row constants (the counts
+    0..N and the odd weights 2k - 1) are built once at the full length and
+    sliced, so a row costs O(n) on top of its prefix.  Uses pairwise float
+    summation: adequate for plotting and for bounds with real slack, not for
+    near-tie decisions.  Raises DomainError for an empty sequence, a value
+    that is NaN or outside [0, 1], an unknown metric or a stride below 1.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
         raise DomainError("empty sequence")
-    if every < 1:
-        raise DomainError(f"stride must be >= 1, got {every}")
+    outside = ~((vals >= 0.0) & (vals <= 1.0))  # NaN compares false
+    if outside.any():
+        raise DomainError(f"point {float(vals[outside][0])!r} lies outside [0, 1]")
     want = set(metrics)
     unknown = want - {"w2", "l2", "star", "maxh"}
     if unknown:
         raise DomainError(f"unknown metrics {sorted(unknown)}")
+    counts = np.arange(vals.size + 1, dtype=np.float64)  # 0, 1, ..., N
+    odd = 2.0 * counts[1:] - 1.0  # odd weights 1, 3, ..., 2N-1
     ns: list[int] = []
     cols: dict[str, list[float]] = {name: [] for name in want}
     for n, x in sorted_prefixes(vals, every):
-        k2 = 2.0 * np.arange(1, n + 1) - 1.0  # odd weights 1, 3, ..., 2n-1
+        k2 = odd[:n]
         ns.append(n)
         if "w2" in want:
             cols["w2"].append(
@@ -270,12 +288,11 @@ def metric_series(
             cols["l2"].append(n * float(d @ d) + 1.0 / 12.0)
         if "star" in want:
             nx = n * x
-            half_k = 0.5 * (k2 + 1.0)  # k = 1..n
             cols["star"].append(
-                float(np.maximum(np.abs(half_k - nx), np.abs(half_k - 1.0 - nx)).max())
+                float(np.maximum(np.abs(counts[1 : n + 1] - nx), np.abs(counts[:n] - nx)).max())
             )
         if "maxh" in want:
-            cols["maxh"].append(_maxh_sorted(x))
+            cols["maxh"].append(_maxh_sorted(x, counts[: n + 1]))
     out: dict[str, np.ndarray] = {"n": np.asarray(ns, dtype=np.int64)}
     for name, col in cols.items():
         out[name] = np.asarray(col, dtype=np.float64)

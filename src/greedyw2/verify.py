@@ -88,8 +88,9 @@ def l2_series_fsum(values) -> np.ndarray:
     """
     vals = np.asarray(values, dtype=np.float64)
     out = np.empty(vals.size, dtype=np.float64)
+    odd = 2.0 * np.arange(1, vals.size + 1) - 1.0  # odd weights 1, 3, ..., 2N-1
     for n, x in metrics.sorted_prefixes(vals):
-        d = x - (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+        d = x - odd[:n] / (2.0 * n)
         out[n - 1] = n * math.fsum((d * d).tolist()) + 1.0 / 12.0
     return out
 

@@ -437,6 +437,16 @@ class TestGoldenBytes:
                 id="metrics-normalized-csv",
             ),
             pytest.param(
+                ("metrics", *_KRITZ_200, "--every", "7"),
+                "bf4f77d552e311780dcb868169c91e5e46f9cfd0dc126bb4c0b59360567533c0",
+                id="metrics-every7-csv",
+            ),
+            pytest.param(
+                ("metrics", *_KRITZ_200, "--every", "64", "--format", "json"),
+                "aa98c187ef6421bce24fbea035dfff958355f4a5cc03e2415117611bbe33df03",
+                id="metrics-every64-json",
+            ),
+            pytest.param(
                 _COMPARE_DUP,
                 "88f73f8da2d1df00894df0a8eb24a62f38ddf0fd1f8ca539991d3eec57ea2e39",
                 id="compare-csv",

@@ -19,11 +19,18 @@ from greedyw2 import (
     step_identity_check,
     w2_squared,
 )
+from greedyw2.metrics import sorted_prefixes
 from greedyw2.numeric import DomainError
 
 F = Fraction
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
+# Floats in [0, 1] with many repeats and both endpoints; "+ 0.0" folds -0.0
+# into 0.0, which sorts equal to it and so has no fixed place in a row.
+unit_floats = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 0.25]),
+    st.floats(min_value=0.0, max_value=1.0).map(lambda v: v + 0.0),
+)
 point_sets = st.lists(unit_fractions, min_size=1, max_size=24).map(sorted)
 
 
@@ -175,6 +182,35 @@ class TestMetricSeries:
             metric_series(np.array([0.5]), every=0)
         with pytest.raises(DomainError):
             metric_series(np.array([0.5]), metrics=("volume",))
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25])
+    def test_rejects_points_outside_unit_interval(self, bad):
+        with pytest.raises(DomainError, match="outside"):
+            metric_series(np.array([0.2, bad, 0.5]))
+        with pytest.raises(DomainError, match="outside"):
+            metric_series([bad, 0.2], metrics=("star",), every=5)
+
+    @pytest.mark.parametrize("every", [0, -2])
+    def test_sorted_prefixes_rejects_bad_stride(self, every):
+        with pytest.raises(DomainError, match="stride"):
+            list(sorted_prefixes([0.1, 0.2, 0.3, 0.4, 0.5], every))
+
+    @settings(max_examples=150)
+    @given(st.lists(unit_floats, min_size=1, max_size=60), st.integers(1, 70))
+    def test_strided_prefixes_are_sorted_rows(self, values, every):
+        v = np.asarray(values, dtype=np.float64)
+        rows = [(n, x.copy()) for n, x in sorted_prefixes(v, every)]
+        expected = list(range(every, v.size + 1, every))
+        if not expected or expected[-1] != v.size:
+            expected.append(v.size)
+        assert [n for n, _ in rows] == expected
+        for n, x in rows:
+            assert x.tobytes() == np.sort(v[:n]).tobytes()
+        dense = metric_series(v, every=1)
+        strided = metric_series(v, every=every)
+        at = strided["n"] - 1
+        for name in ("w2", "l2", "star", "maxh"):
+            assert strided[name].tobytes() == dense[name][at].tobytes(), name
 
     def test_exact_vs_series_on_lattice(self):
         n = 16
