@@ -183,6 +183,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.every < 1:
         raise ConfigError(f"--every must be >= 1, got {args.every}")
+    if args.input is not None and args.sequence is not None:
+        raise ConfigError("metrics takes either --in FILE or --sequence, not both")
     if args.input is not None:
         meta, rows = read_dump_file(args.input)
         meta = dict(meta)

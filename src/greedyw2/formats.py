@@ -173,14 +173,14 @@ def _kritzinger_rows(config: RunConfig) -> list[DumpRow]:
         reduced = value if isinstance(value, Fraction) else None
         rows.append(DumpRow(step, None, None, reduced, float(value)))
     state = SequenceState(seed_values, backend=backend)
-    extend(state, config.count, tie_rule=config.tie_rule)
-    for chosen in state.history:
+    added = extend(state, config.count, tie_rule=config.tie_rule)
+    for chosen, reduced in zip(state.history, added, strict=True):
         rows.append(
             DumpRow(
                 chosen.step,
                 chosen.numerator,
                 chosen.denominator,
-                chosen.reduced,
+                reduced,
                 chosen.numerator / chosen.denominator,
             )
         )

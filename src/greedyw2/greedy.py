@@ -44,38 +44,66 @@ greatest m.  No feasibility test is needed: a candidate that is not
 feasible, or that coincides with a point, has a neighbour whose D is
 smaller by at least 1/(2n+2).
 
-The float pass computes d^_k = fl(x^_k - fl((k+1)/(n+1))), where x^_k is
-the stored double (correctly rounded; float seeds and dyadic points are
-exact), D^ by a running (recursive) sum, and the float minimum D^_{m^}.
-With u = 2^-53 and gamma_k = k u / (1 - k u), every D^_m is within
+The state keeps float sums D^_m (m = 0..n) and a bound eps with
+|D^_m - D_m| <= eps for every m, and updates both in place at each
+insertion; u = 2^-53 is the unit roundoff and gamma_k = k u / (1 - k u).
+
+Construction.  d^_k = fl(x^_k - fl((k+1)/(n+1))), where x^_k is the seed as
+a double (correctly rounded; float seeds are exact), and D^ is their running
+sum (numpy's cumsum, which adds in order).  Every D^_m is within
 
     E0 = 3 u n + gamma_n sum_k |d^_k|
 
 of D_m: x^_k, the quotient and the difference each round once, by at most
 u (all three lie in [-1, 1]), and a running sum of m terms errs by at most
 gamma_{m-1} times the sum of their magnitudes (Higham, Accuracy and
-Stability of Numerical Algorithms, 2002, eq. 4.4).  For an exact minimizer
-m*, D^_{m*} <= D_{m*} + E0 <= D_{m^} + E0 <= D^_{m^} + 2 E0, so every exact
-minimizer lies in the window {m : D^_m <= D^_{m^} + 2 E0}.  The code uses
+Stability of Numerical Algorithms, 2002, eq. 4.4).  The state starts from
 
-    E = 4 u (n+1) + 2 gamma_{n+1} sum_k |d^_k|,
+    eps = 4 u (n+1) + 2 gamma_{n+1} sum_k |d^_k|,
 
-whose excess over E0, at least u (n+1) + gamma_n sum_k |d^_k|, covers for
-n < 2^40 the rounding of the float sum of the |d^_k| (relative error below
-gamma_n), of E itself (a few u, relative) and of the threshold D^_{m^} + 2 E
-(at most u |D^_{m^} + 2 E|, where |D^_{m^}| <= (1 + gamma_n) sum_k |d^_k|).
-The running sum is numpy's cumsum, which adds in order.
+whose excess over E0 covers, for n < 2^40, the rounding of the float sum
+of the |d^_k| (relative error below gamma_n) and of eps itself.
+
+Insertion.  Adding candidate m of step n+1 (the point (2m+1)/(2n+2) at
+rank m) turns the sums into, with T_j = j(j+1)/2 and delta = 1/((n+1)(n+2)),
+
+    D'_j = D_j + T_j delta                               for j <= m,
+    D'_j = D_{j-1} + T_j delta - (2i+1)/(2n+2)           for j = m+1+i,
+
+the last term being the new point minus j/(n+1).  The state shifts D^ up
+by one rank above m, adds t^_j = fl(T_j fl(delta)) to every entry and then
+w^_j = fl(-(2i+1)/(2n+2)) to those above m.  T_j and 2i+1 are exact
+doubles, so t^_j errs by at most gamma_2 t_j <= gamma_2/2 (t_j <= 1/2) and
+w^_j by at most u (|w_j| < 1).  An addition errs by at most u times its
+computed result (Higham eq. 2.5), so with M' = max_j |D^'_j| an entry
+below m errs by at most eps + gamma_2/2 + u M', and one above m by at most
+eps + gamma_2/2 + u + u |a_j| + u M', where a_j = fl(D^_{j-1} + t^_j) has
+|a_j| <= (1 + u) M' + 1.  As gamma_2/2 <= u (1 + 3u), both are at most
+eps + 3u + 2u M' + u^2 (M' + 3), and the state advances
+
+    eps' = eps (1 + 4u) + u (2 M' + 5),
+
+which stays above that bound after its own three roundings while 5 M' + 13
+<= 2/u; as |D_j| <= n, n < 2^40 suffices.  The update is one shift and
+three elementwise passes over preallocated buffers, which double their
+capacity when full, plus the max and min that give M'.
+
+Window.  Let m^ attain min D^ and L = fl(D^_{m^} + 2 eps) raised by one ulp,
+so L >= D^_{m^} + 2 eps.  For an exact minimizer m*, D^_{m*} <= D_{m*} +
+eps <= D_{m^} + eps <= D^_{m^} + 2 eps <= L, so every exact minimizer lies
+in the window {m : D^_m <= L}; comparing doubles with L is exact.
 
 A window of one candidate is the answer.  A wider one is settled by exact
 Fraction sums of the deviations over its ranks: the adaptive exact
 predicate of Shewchuk (Adaptive Precision Floating-Point Arithmetic and
 Fast Robust Geometric Predicates, 1997).  A candidate that is not feasible
 lies at least 1/(2n+2) above the exact minimum, so it enters the window
-only if 4 E exceeds that gap, and the exact stage then drops it.  No float
-comparison of a candidate with a point is made, so none can come out
-equal and need settling.  Seeds are checked to lie in [0, 1]; a point that
-is not a finite number (only a corrupted state holds one) makes the
-window's threshold non-finite and raises :class:`GreedyInvariantError`.
+only if 4 eps plus one ulp of L exceeds that gap, and the exact stage then
+drops it.  No float comparison of a candidate with a point is made, so none
+can come out equal and need settling.  Seeds are checked to lie in [0, 1];
+a deviation sum that is not a finite number (only a corrupted state holds
+one) makes the minimum or maximum of D^ non-finite and raises
+:class:`GreedyInvariantError`.
 """
 
 from __future__ import annotations
@@ -168,17 +196,34 @@ def _exact(p) -> Fraction:
 class SequenceState:
     """Sorted point multiset on [0,1] being grown one point at a time.
 
-    Both backends hold the same two parallel sorted sequences: the float64
-    values the greedy kernel filters with, and the exact points behind them
-    (seeds as given, greedy points as their :class:`ChosenPoint`; float seeds
-    are exact dyadic rationals).  The backend fixes only the scalar type of
-    what the state hands out.  ``history`` records every greedily added point
-    in raw (odd numerator, 2*step) form; seed points have no raw form and are
-    not in the history.  Every evaluation computes on the exact points and
-    converts its result to the backend's scalar type once, at the return.
+    Both backends hold the same state: the sorted exact points (seeds as
+    given, greedy points as their :class:`ChosenPoint`; float seeds are
+    exact dyadic rationals), the float deviation sums D^_0..D^_n the greedy
+    kernel filters with, and the bound ``eps`` on their rounding error (see
+    the module docstring).  Each insertion updates D^ and ``eps`` in place.
+    The backend fixes only the scalar type of what the state hands out; a
+    float state's points are the doubles nearest the exact ones.
+    ``history`` records every greedily added point in raw (odd numerator,
+    2*step) form; seed points have no raw form and are not in the history.
+    Every evaluation computes on the exact points and converts its result to
+    the backend's scalar type once, at the return.
     """
 
-    __slots__ = ("backend", "history", "seed_count", "_arr", "_pts")
+    # _dev holds D^ in its first n+1 entries; _tmp and _mask are scratch;
+    # _tri (T_j) and _odd (2j+1) are constant tables that copies share.  All
+    # five have the same capacity and are replaced, never resized, on growth.
+    __slots__ = (
+        "backend",
+        "history",
+        "seed_count",
+        "_pts",
+        "_dev",
+        "_eps",
+        "_tmp",
+        "_mask",
+        "_tri",
+        "_odd",
+    )
 
     def __init__(self, seeds: Iterable = (), backend: Backend = Backend.RATIONAL) -> None:
         if not isinstance(backend, Backend):
@@ -201,7 +246,7 @@ class SequenceState:
                 vals.append(v)
             vals.sort()
             self._pts: list = vals
-            self._arr = np.array([float(v) for v in vals], dtype=np.float64)
+            arr = np.array([float(v) for v in vals], dtype=np.float64)
         else:
             for s in seeds:
                 if not (is_float_scalar(s) or is_rational_scalar(s)):
@@ -212,12 +257,34 @@ class SequenceState:
             arr = np.sort(np.asarray([float(s) for s in seeds], dtype=np.float64))
             if arr.size and not (0.0 <= arr[0] and arr[-1] <= 1.0):
                 raise DomainError("seed values must lie in [0, 1]")
-            self._arr = arr
             self._pts = arr.tolist()
+        n = arr.size
+        self._dev = np.empty(0)
+        self._reserve(2 * (n + 1))
+        d = arr - np.arange(1, n + 1) / (n + 1)
+        self._dev[0] = 0.0
+        np.cumsum(d, out=self._dev[1 : n + 1])
+        gamma = (n + 1) * _U / (1.0 - (n + 1) * _U)
+        self._eps = 4.0 * _U * (n + 1) + 2.0 * gamma * float(np.abs(d).sum())
+
+    def _reserve(self, size: int) -> None:
+        """Give every buffer room for ``size`` entries, doubling the capacity."""
+        old = self._dev
+        if size <= old.size:
+            return
+        cap = max(2 * old.size, size)
+        j = np.arange(cap, dtype=np.float64)
+        self._tri = j * (j + 1) / 2  # exact while cap < 2^26
+        self._odd = 2 * j + 1
+        self._tri.flags.writeable = self._odd.flags.writeable = False
+        self._tmp = np.empty(cap)
+        self._mask = np.empty(cap, dtype=bool)
+        self._dev = np.empty(cap)
+        self._dev[: old.size] = old
 
     @property
     def n(self) -> int:
-        return int(self._arr.size)
+        return len(self._pts)
 
     @property
     def exact_points(self) -> list[Fraction]:
@@ -229,14 +296,18 @@ class SequenceState:
         """Sorted point values in the backend's scalar type (fresh list)."""
         if self.backend is Backend.RATIONAL:
             return self.exact_points
-        return self._arr.tolist()
+        return [p if isinstance(p, float) else p.numerator / p.denominator for p in self._pts]
 
     def copy(self) -> "SequenceState":
         dup = SequenceState((), backend=self.backend)
         dup.history = list(self.history)
         dup.seed_count = self.seed_count
-        dup._arr = self._arr.copy()
         dup._pts = list(self._pts)
+        dup._dev = self._dev.copy()
+        dup._eps = self._eps
+        dup._tmp = self._tmp.copy()
+        dup._mask = self._mask.copy()
+        dup._tri, dup._odd = self._tri, self._odd
         return dup
 
     def __repr__(self) -> str:
@@ -249,14 +320,24 @@ class SequenceState:
         """An exact value in the backend's scalar type."""
         return value if self.backend is Backend.RATIONAL else float(value)
 
-    def _insert_candidate(self, m: int, rank: int) -> Fraction:
-        """Insert candidate m of the current step at sorted position ``rank``
-        (the number of points below it); returns its exact value."""
+    def _insert_candidate(self, m: int) -> Fraction:
+        """Insert candidate m of the current step, which is feasible (m points
+        lie below it), and update D^ and ``eps`` as the module docstring
+        derives; returns the point's exact value."""
         n = self.n
         point = ChosenPoint(step=n + 1, numerator=2 * m + 1, denominator=2 * n + 2)
-        arr = self._arr
-        self._arr = np.concatenate((arr[:rank], [point.numerator / point.denominator], arr[rank:]))
-        self._pts.insert(rank, point)
+        end = n + 2
+        self._reserve(end)
+        dev, tmp = self._dev[:end], self._tmp[:end]
+        upper, w = dev[m + 1 :], tmp[: end - m - 1]
+        upper[:] = dev[m:-1]
+        np.multiply(self._tri[:end], 1 / ((n + 1) * (n + 2)), out=tmp)
+        np.add(dev, tmp, out=dev)
+        np.divide(self._odd[: end - m - 1], -(2 * n + 2), out=w)
+        np.add(upper, w, out=upper)
+        top = max(float(np.maximum.reduce(dev)), -float(np.minimum.reduce(dev)))
+        self._eps = self._eps * (1.0 + 4.0 * _U) + _U * (2.0 * top + 5.0)
+        self._pts.insert(m, point)
         self.history.append(point)
         return point.reduced
 
@@ -342,30 +423,32 @@ def _select(objectives, collides, tie_rule: str) -> int:
 def _argmin(state: SequenceState, tie_rule: str) -> int:
     """The tie rule's pick among the candidates of least D_m.
 
-    The float filter, its error bound and the exact fallback are derived in
-    the module docstring.  The pick is feasible, so its rank among the
-    points is m itself.
+    The float filter over the state's D^, its error bound and the exact
+    fallback are derived in the module docstring.  The pick is feasible, so
+    its rank among the points is m itself.
     """
-    x = state._arr
-    n = x.size
-    np1 = n + 1
-    d = x - np.arange(1, np1) / np1
-    D = np.empty(np1)
-    D[0] = 0.0
-    np.cumsum(d, out=D[1:])
-    gamma = np1 * _U / (1.0 - np1 * _U)
-    err = 4.0 * _U * np1 + 2.0 * gamma * float(np.abs(d, out=d).sum())
-    limit = float(D.min() + 2.0 * err)
-    if not math.isfinite(limit):
-        raise _invariant_error(n, 0, n, "a stored point is not a finite number")
-    window = np.flatnonzero(D <= limit)
-    if window.size == 1:
-        return int(window[0])
+    n = state.n
+    dev = state._dev[: n + 1]
+    m = int(dev.argmin())
+    lo, hi = float(dev[m]), float(np.maximum.reduce(dev))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _invariant_error(n, 0, n, "a deviation sum is not a finite number")
+    limit = math.nextafter(lo + 2.0 * state._eps, math.inf)
+    mask = state._mask[: n + 1]
+    np.less_equal(dev, limit, out=mask)
+    if np.count_nonzero(mask) == 1:
+        return m
+    return _exact_argmin(state, np.flatnonzero(mask).tolist(), tie_rule)
+
+
+def _exact_argmin(state: SequenceState, window: list[int], tie_rule: str) -> int:
+    """The tie rule's pick among the window's ranks, by exact D_m differences."""
     pts = state._pts
-    k = int(window[0])
+    np1 = state.n + 1
+    k = window[0]
     exact_d = Fraction(0)  # D_m - D_k for the window's first rank k
     ranked = []
-    for w in window.tolist():
+    for w in window:
         while k < w:
             exact_d += _exact(pts[k]) - Fraction(k + 1, np1)
             k += 1
@@ -384,8 +467,7 @@ def next_point(state: SequenceState, tie_rule: str = "smallest") -> Fraction:
     stores it and the raw form goes into ``state.history``.
     """
     _check_tie_rule(tie_rule)
-    m = _argmin(state, tie_rule)
-    return state._insert_candidate(m, m)
+    return state._insert_candidate(_argmin(state, tie_rule))
 
 
 def e_functional(state: SequenceState, z) -> Fraction | float:
@@ -441,7 +523,9 @@ def next_point_via_e(state: SequenceState, tie_rule: str = "smallest") -> Fracti
         cc = 1 - c
         objectives.append(e + (c * c * c + cc * cc * cc) / 3)
     m = _select(objectives, collides, tie_rule)
-    return state._insert_candidate(m, below[m])
+    if below[m] != m:
+        raise _invariant_error(n, m, m, f"the minimizer has {below[m]} points below it")
+    return state._insert_candidate(m)
 
 
 def extend(

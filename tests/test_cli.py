@@ -187,6 +187,16 @@ class TestMetrics:
         code, _, err = run(capsys, "metrics")
         assert code == 2 and "--in" in err
 
+    def test_input_and_sequence_together(self, capsys, tmp_path):
+        dump = tmp_path / "v.csv"
+        argv = ("--sequence", "kritzinger", "--seeds", "half", "--count", "5")
+        assert run(capsys, "generate", *argv, "--out", str(dump))[0] == 0
+        code, out, err = run(
+            capsys, "metrics", "--in", str(dump), "--sequence", "kritzinger", "--count", "100"
+        )
+        assert code == 2 and out == ""
+        assert "--in" in err and "--sequence" in err
+
     def test_every_stride(self, capsys):
         code, out, _ = run(
             capsys,

@@ -20,6 +20,7 @@ from greedyw2 import (
     next_point_via_e,
     w2_squared,
 )
+from greedyw2 import greedy
 from greedyw2.greedy import TIE_RULES
 from greedyw2.metrics import step_identity_check
 from greedyw2.numeric import ConfigError, DomainError
@@ -291,14 +292,90 @@ class TestExactEngineFuzz:
             assert next_point(state, tie_rule) == want
 
 
+def exact_deviation_sums(state):
+    """D_m = sum_{k<m} (x_k - (k+1)/(n+1)) for m = 0..n, in Fractions."""
+    pts = state.exact_points
+    n = len(pts)
+    sums = [F(0)]
+    for k, p in enumerate(pts):
+        sums.append(sums[-1] + p - F(k + 1, n + 1))
+    return sums
+
+
+def assert_sums_within_bound(state):
+    eps = F(state._eps)
+    approx = state._dev[: state.n + 1].tolist()
+    for got, want in zip(approx, exact_deviation_sums(state), strict=True):
+        assert abs(F(got) - want) <= eps
+
+
+class TestDeviationSums:
+    @given(
+        kind=st.sampled_from(["rational", "float", "duplicate"]),
+        data=st.data(),
+        tie_rule=st.sampled_from(TIE_RULES),
+        routes=st.lists(st.booleans(), min_size=1, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_updates_stay_within_bound(self, kind, data, tie_rule, routes):
+        if kind == "float":
+            values = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, 1.0])
+            backends = [Backend.FLOAT]
+        else:
+            values = seed_kinds[kind][0] | st.sampled_from([F(0), F(1)])
+            backends = [Backend.RATIONAL, Backend.FLOAT]
+        seeds = data.draw(st.lists(values, max_size=8), label="seeds")
+        backend = data.draw(st.sampled_from(backends), label="backend")
+        state = SequenceState(seeds, backend=backend)
+        assert_sums_within_bound(state)
+        for via_e in routes:
+            (next_point_via_e if via_e else next_point)(state, tie_rule)
+            assert_sums_within_bound(state)
+        points = state.points
+        dev = state._dev[: state.n + 1].copy()
+        clone = state.copy()
+        extend(clone, clone.n + 5, tie_rule)
+        assert state.points == points
+        assert np.array_equal(state._dev[: state.n + 1], dev)
+        if backend is Backend.FLOAT:
+            seeds = [float(s) for s in seeds]
+        want = brute_force_next(seeds, state, tie_rule)
+        assert next_point(state, tie_rule) == want
+
+
+class TestExactFallback:
+    def test_fallback_steps_from_seed_half(self, monkeypatch):
+        # The exact stage runs only where the certified window holds more
+        # than one rank.  A looser bound than the engine's would widen
+        # windows and add steps here.
+        windows = []
+        exact_argmin = greedy._exact_argmin
+
+        def spy(state, window, tie_rule):
+            windows.append((state.n, window))
+            return exact_argmin(state, window, tie_rule)
+
+        monkeypatch.setattr(greedy, "_exact_argmin", spy)
+        state = SequenceState([0.5], backend=Backend.FLOAT)
+        extend(state, 10000)
+        assert len(windows) == 89
+        extend(state, 20000)
+        assert len(windows) == 104
+        assert (16059, [10292, 10293]) in windows
+        for n, window in windows:
+            assert window == list(range(window[0], window[-1] + 1))
+            assert len(window) == (3 if n in (3, 7, 15) else 2)
+
+
 class TestInvariantErrors:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_corrupted_state_names_step_and_ranks(self, bad):
         state = generate_sequence([0.5], 6, backend=Backend.FLOAT)
-        state._arr[2] = bad
+        state._dev[2] = bad
         msg = r"step 7 \(n = 6\), candidate ranks m = 0\.\.6: "
         with pytest.raises(GreedyInvariantError, match=msg):
             next_point(state)
+        assert state.n == 6 and len(state.history) == 5
 
 
 class TestConvenienceApis:
