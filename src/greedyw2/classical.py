@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +12,6 @@ from .numeric import ConfigError, DomainError
 
 __all__ = [
     "GOLDEN_RATIO",
-    "KroneckerConfig",
-    "SeededUniformConfig",
     "kronecker",
     "uniform_stream",
     "van_der_corput",
@@ -40,44 +37,37 @@ def van_der_corput(k: int) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class KroneckerConfig:
-    alpha: float = GOLDEN_RATIO
+def kronecker(k: int, alpha: float = GOLDEN_RATIO) -> float:
+    """k-th point of the rotation sequence frac(k * alpha), 1-indexed.
 
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-
-
-def kronecker(k: int, config: KroneckerConfig | None = None) -> float:
-    """k-th point of the rotation sequence frac(k * alpha), 1-indexed."""
+    Raises ConfigError unless alpha > 0, and DomainError when k * alpha
+    overflows to infinity.
+    """
     if k < 1:
         raise DomainError(f"index must be >= 1, got {k}")
-    alpha = (config or KroneckerConfig()).alpha
-    return math.fmod(k * alpha, 1.0)
+    if not alpha > 0:
+        raise ConfigError(f"alpha must be positive, got {alpha}")
+    turn = k * alpha
+    if not math.isfinite(turn):
+        raise DomainError(f"k * alpha is not finite for k = {k}, alpha = {alpha}")
+    return math.fmod(turn, 1.0)
 
 
-@dataclass(frozen=True)
-class SeededUniformConfig:
-    seed: int = 0
-    generator: str = "pcg64"
-
-
-def uniform_stream(count: int, config: SeededUniformConfig | None = None) -> list[float]:
+def uniform_stream(count: int, seed: int = 0, generator: str = "pcg64") -> list[float]:
     """``count`` pseudo-uniform draws from a named, stable generator.
 
-    The same (generator, seed) pair reproduces the same stream forever;
-    unknown generator identifiers are configuration errors.
+    The same (generator, seed) pair reproduces the same stream forever; a
+    negative seed and an unknown generator identifier are configuration
+    errors.
     """
     if count < 0:
         raise DomainError(f"count must be >= 0, got {count}")
-    cfg = config or SeededUniformConfig()
-    if cfg.generator == "pcg64":
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if generator == "pcg64":
+        rng = np.random.Generator(np.random.PCG64(seed))
         return [float(x) for x in rng.random(count)]
-    if cfg.generator == "mt19937":
-        rng = random.Random(cfg.seed)
+    if generator == "mt19937":
+        rng = random.Random(seed)
         return [rng.random() for _ in range(count)]
-    raise ConfigError(
-        f"unknown generator {cfg.generator!r}; expected 'pcg64' or 'mt19937'"
-    )
+    raise ConfigError(f"unknown generator {generator!r}; expected 'pcg64' or 'mt19937'")

@@ -13,6 +13,7 @@ to the metrics pipeline without re-running the generator.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
@@ -20,14 +21,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from ._version import __version__
-from .classical import (
-    GOLDEN_RATIO,
-    KroneckerConfig,
-    SeededUniformConfig,
-    kronecker,
-    uniform_stream,
-    van_der_corput,
-)
+from .classical import GOLDEN_RATIO, kronecker, uniform_stream, van_der_corput
 from .greedy import SequenceState, TIE_RULES, extend
 from .metrics import star_over_log
 from .numeric import (
@@ -109,8 +103,8 @@ class RunConfig:
             value = float(self.alpha)
         except ValueError:
             raise ConfigError(f"alpha must be 'phi' or a positive number, got {self.alpha!r}") from None
-        if not value > 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha!r}")
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha!r}")
         return value
 
     def meta(self) -> dict[str, str]:
@@ -155,13 +149,11 @@ def build_dump(config: RunConfig) -> list[DumpRow]:
             rows.append(DumpRow(k, None, None, v, float(v)))
         return rows
     if config.sequence == "kronecker":
-        kc = KroneckerConfig(alpha=config.parsed_alpha)
+        alpha = config.parsed_alpha
         return [
-            DumpRow(k, None, None, None, kronecker(k, kc)) for k in range(1, config.count + 1)
+            DumpRow(k, None, None, None, kronecker(k, alpha)) for k in range(1, config.count + 1)
         ]
-    stream = uniform_stream(
-        config.count, SeededUniformConfig(seed=config.rng_seed, generator=config.generator)
-    )
+    stream = uniform_stream(config.count, config.rng_seed, config.generator)
     return [DumpRow(k, None, None, None, float(v)) for k, v in enumerate(stream, 1)]
 
 
@@ -284,7 +276,7 @@ def _read_dump_json(text: str) -> tuple[dict[str, str], list[DumpRow]]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DumpParseError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
-    if not isinstance(payload, dict) or "rows" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("rows"), list):
         raise DumpParseError("line 1: JSON dump must be an object with a 'rows' array")
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):

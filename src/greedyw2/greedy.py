@@ -188,17 +188,12 @@ class CandidateEvaluation:
     f_value: Fraction
 
 
-def _exact(p) -> Fraction:
-    """Exact value of a stored point: a ChosenPoint, a Fraction or a float."""
-    return p.reduced if isinstance(p, ChosenPoint) else Fraction(p)
-
-
 class SequenceState:
     """Sorted point multiset on [0,1] being grown one point at a time.
 
-    Both backends hold the same state: the sorted exact points (seeds as
-    given, greedy points as their :class:`ChosenPoint`; float seeds are
-    exact dyadic rationals), the float deviation sums D^_0..D^_n the greedy
+    Both backends hold the same state: the sorted points as exact
+    Fractions (a float state's seeds are the doubles nearest the given
+    values, converted once), the float deviation sums D^_0..D^_n the greedy
     kernel filters with, and the bound ``eps`` on their rounding error (see
     the module docstring).  Each insertion updates D^ and ``eps`` in place.
     The backend fixes only the scalar type of what the state hands out; a
@@ -232,32 +227,19 @@ class SequenceState:
         self.history: list[ChosenPoint] = []
         seeds = list(seeds)
         self.seed_count = len(seeds)
-        if backend is Backend.RATIONAL:
-            vals = []
-            for s in seeds:
-                if not is_rational_scalar(s):
-                    raise BackendMismatch(
-                        f"rational backend cannot seed from {type(s).__name__} "
-                        f"value {s!r}"
-                    )
-                v = Fraction(s)
-                if not 0 <= v <= 1:
-                    raise DomainError(f"seed {s!r} lies outside [0, 1]")
-                vals.append(v)
-            vals.sort()
-            self._pts: list = vals
-            arr = np.array([float(v) for v in vals], dtype=np.float64)
-        else:
-            for s in seeds:
-                if not (is_float_scalar(s) or is_rational_scalar(s)):
-                    raise BackendMismatch(
-                        f"float backend cannot seed from {type(s).__name__} "
-                        f"value {s!r}"
-                    )
-            arr = np.sort(np.asarray([float(s) for s in seeds], dtype=np.float64))
-            if arr.size and not (0.0 <= arr[0] and arr[-1] <= 1.0):
-                raise DomainError("seed values must lie in [0, 1]")
-            self._pts = arr.tolist()
+        rational = backend is Backend.RATIONAL
+        vals = []
+        for s in seeds:
+            if not (is_rational_scalar(s) or (not rational and is_float_scalar(s))):
+                raise BackendMismatch(
+                    f"{backend.value} backend cannot seed from {type(s).__name__} value {s!r}"
+                )
+            v = s if rational else float(s)  # a float state seeds from the nearest double
+            if not 0 <= v <= 1:  # NaN fails too
+                raise DomainError(f"seed {s!r} lies outside [0, 1]")
+            vals.append(Fraction(v))
+        self._pts = sorted(vals)
+        arr = np.array([float(p) for p in self._pts], dtype=np.float64)
         n = arr.size
         self._dev = np.empty(0)
         self._reserve(2 * (n + 1))
@@ -289,14 +271,14 @@ class SequenceState:
     @property
     def exact_points(self) -> list[Fraction]:
         """Sorted exact point values as Fractions, in either backend (fresh list)."""
-        return [_exact(p) for p in self._pts]
+        return list(self._pts)
 
     @property
     def points(self) -> list:
         """Sorted point values in the backend's scalar type (fresh list)."""
         if self.backend is Backend.RATIONAL:
-            return self.exact_points
-        return [p if isinstance(p, float) else p.numerator / p.denominator for p in self._pts]
+            return list(self._pts)
+        return [float(p) for p in self._pts]
 
     def copy(self) -> "SequenceState":
         dup = SequenceState((), backend=self.backend)
@@ -325,7 +307,7 @@ class SequenceState:
         lie below it), and update D^ and ``eps`` as the module docstring
         derives; returns the point's exact value."""
         n = self.n
-        point = ChosenPoint(step=n + 1, numerator=2 * m + 1, denominator=2 * n + 2)
+        value = Fraction(2 * m + 1, 2 * n + 2)
         end = n + 2
         self._reserve(end)
         dev, tmp = self._dev[:end], self._tmp[:end]
@@ -337,9 +319,9 @@ class SequenceState:
         np.add(upper, w, out=upper)
         top = max(float(np.maximum.reduce(dev)), -float(np.minimum.reduce(dev)))
         self._eps = self._eps * (1.0 + 4.0 * _U) + _U * (2.0 * top + 5.0)
-        self._pts.insert(m, point)
-        self.history.append(point)
-        return point.reduced
+        self._pts.insert(m, value)
+        self.history.append(ChosenPoint(step=n + 1, numerator=2 * m + 1, denominator=2 * n + 2))
+        return value
 
 
 def _check_scalar(state: SequenceState, x) -> Fraction:
@@ -450,7 +432,7 @@ def _exact_argmin(state: SequenceState, window: list[int], tie_rule: str) -> int
     ranked = []
     for w in window:
         while k < w:
-            exact_d += _exact(pts[k]) - Fraction(k + 1, np1)
+            exact_d += pts[k] - Fraction(k + 1, np1)
             k += 1
         ranked.append((exact_d, w))
     best = min(v for v, _ in ranked)

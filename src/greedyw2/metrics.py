@@ -23,7 +23,6 @@ the input holds floats; exact input gives exact Fractions.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +36,6 @@ from .numeric import Backend, DomainError, is_rational_scalar
 
 __all__ = [
     "DiscrepancyReport",
-    "GFunction",
     "l2_discrepancy_squared",
     "max_abs_H",
     "metric_series",
@@ -109,35 +107,19 @@ def star_discrepancy(points: Iterable) -> Fraction | float:
     return best
 
 
-@dataclass(frozen=True)
-class GFunction:
-    """Counting deviation g(x) = #{k : x_k <= x} - n x of a sorted multiset."""
-
-    points: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        _validated(self.points, allow_empty=True)
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    def eval(self, x):
-        return bisect.bisect_right(self.points, x) - self.n * x
-
-
-def max_abs_H(g: GFunction) -> Fraction | float:
+def max_abs_H(points: Iterable) -> Fraction | float:
     """sup_x |H(x)| with H(x) = int_0^x g, computed exactly.
 
     H is piecewise quadratic, so its extrema lie at breakpoints or at
     interior zeros of g; ``lemma.PiecewiseFunction`` scans that finite set.
-    The points are converted to Fractions first (PiecewiseFunction computes
-    in floats on float data), and the exact maximum is rounded once for
-    float input.
+    The points must be sorted and lie in [0, 1]; an empty set gives 0.
+    They are converted to Fractions first (PiecewiseFunction computes in
+    floats on float data), and the exact maximum is rounded once for float
+    input.
     """
-    exact = PiecewiseFunction.from_counting_deviation([Fraction(p) for p in g.points])
-    return _like(g.points, exact.max_abs_antiderivative())
+    pts = _validated(points, allow_empty=True)
+    exact = PiecewiseFunction.from_counting_deviation([Fraction(p) for p in pts])
+    return _like(pts, exact.max_abs_antiderivative())
 
 
 def step_identity_check(state: SequenceState, chosen) -> Fraction | float:
@@ -190,7 +172,7 @@ def report(points: Iterable) -> DiscrepancyReport:
         w2_squared=w2_squared(pts),
         l2_disc_squared=l2_discrepancy_squared(pts),
         star_disc=star_discrepancy(pts),
-        max_abs_h=max_abs_H(GFunction(tuple(pts))),
+        max_abs_h=max_abs_H(pts),
     )
 
 

@@ -191,7 +191,7 @@ def test_criterion_08_closed_forms_match_quadrature_oracles():
                 - oracle.l2_defining_integral(pts, quad)
             ),
             abs(
-                float(metrics.max_abs_H(metrics.GFunction(tuple(pts))))
+                float(metrics.max_abs_H(pts))
                 - oracle.grid_max_abs_h(pts, maxh_grid)
             ),
         )

@@ -6,16 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from greedyw2 import (
-    GOLDEN_RATIO,
-    KroneckerConfig,
-    SeededUniformConfig,
-    kronecker,
-    metric_series,
-    star_discrepancy,
-    uniform_stream,
-    van_der_corput,
-)
+from greedyw2 import metric_series, star_discrepancy
+from greedyw2.classical import GOLDEN_RATIO, kronecker, uniform_stream, van_der_corput
 from greedyw2.numeric import ConfigError, DomainError
 
 F = Fraction
@@ -61,15 +53,21 @@ class TestKronecker:
         assert kronecker(1) == pytest.approx(GOLDEN_RATIO - 1, abs=1e-15)
 
     def test_matches_direct_fmod(self):
-        cfg = KroneckerConfig(alpha=math.pi)
         for k in (1, 2, 97):
-            assert kronecker(k, cfg) == math.fmod(k * math.pi, 1.0)
+            assert kronecker(k, math.pi) == math.fmod(k * math.pi, 1.0)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ConfigError):
-            KroneckerConfig(alpha=0.0)
+            kronecker(1, 0.0)
         with pytest.raises(ConfigError):
-            KroneckerConfig(alpha=-1.5)
+            kronecker(1, -1.5)
+
+    def test_rejects_overflowing_rotation(self):
+        assert kronecker(1, 1e308) == math.fmod(1e308, 1.0)
+        with pytest.raises(DomainError):
+            kronecker(2, 1e308)
+        with pytest.raises(DomainError):
+            kronecker(1, math.inf)
 
     def test_rejects_bad_index(self):
         with pytest.raises(DomainError):
@@ -84,39 +82,44 @@ class TestKronecker:
 
 class TestUniformStream:
     def test_deterministic_per_seed(self):
-        a = uniform_stream(64, SeededUniformConfig(seed=7))
-        b = uniform_stream(64, SeededUniformConfig(seed=7))
+        a = uniform_stream(64, seed=7)
+        b = uniform_stream(64, seed=7)
         assert a == b
 
     def test_seeds_differ(self):
-        a = uniform_stream(64, SeededUniformConfig(seed=7))
-        b = uniform_stream(64, SeededUniformConfig(seed=8))
+        a = uniform_stream(64, seed=7)
+        b = uniform_stream(64, seed=8)
         assert a != b
 
     def test_mt19937_matches_stdlib(self):
         import random
 
-        got = uniform_stream(10, SeededUniformConfig(seed=42, generator="mt19937"))
+        got = uniform_stream(10, seed=42, generator="mt19937")
         ref = random.Random(42)
         assert got == [ref.random() for _ in range(10)]
 
     def test_pcg64_matches_numpy(self):
-        got = uniform_stream(10, SeededUniformConfig(seed=3, generator="pcg64"))
+        got = uniform_stream(10, seed=3, generator="pcg64")
         ref = np.random.Generator(np.random.PCG64(3)).random(10)
         assert np.array_equal(got, ref)
 
     def test_unknown_generator(self):
         with pytest.raises(ConfigError):
-            uniform_stream(4, SeededUniformConfig(seed=0, generator="xorshift"))
+            uniform_stream(4, seed=0, generator="xorshift")
+
+    @pytest.mark.parametrize("generator", ["pcg64", "mt19937"])
+    def test_rejects_negative_seed(self, generator):
+        with pytest.raises(ConfigError):
+            uniform_stream(4, seed=-1, generator=generator)
 
     def test_range(self):
-        vals = uniform_stream(1000, SeededUniformConfig(seed=1))
+        vals = uniform_stream(1000, seed=1)
         assert all(0.0 <= v < 1.0 for v in vals)
 
     @pytest.mark.parametrize("generator", ["pcg64", "mt19937"])
     def test_kolmogorov_smirnov_uniformity(self, generator):
         scipy_stats = pytest.importorskip("scipy.stats")
-        sample = uniform_stream(2000, SeededUniformConfig(seed=11, generator=generator))
+        sample = uniform_stream(2000, seed=11, generator=generator)
         stat = scipy_stats.kstest(sample, "uniform").statistic
         # 1% critical value for the one-sample KS statistic
         assert stat < 1.63 / math.sqrt(2000)

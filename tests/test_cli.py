@@ -118,6 +118,30 @@ class TestGenerate:
         )
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("alpha", ["inf", "1e308"])
+    def test_unusable_kronecker_alpha_rejected(self, capsys, alpha):
+        code, out, err = run(
+            capsys, "generate", "--sequence", "kronecker", "--alpha", alpha, "--count", "3"
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "alpha" in err
+
+    @pytest.mark.parametrize("generator", ["pcg64", "mt19937"])
+    def test_negative_rng_seed_rejected(self, capsys, generator):
+        code, out, err = run(
+            capsys,
+            "generate",
+            "--sequence",
+            "uniform",
+            "--rng-seed",
+            "-1",
+            "--generator",
+            generator,
+            "--count",
+            "3",
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestMetrics:
     def test_fresh_run_report(self, capsys):
@@ -182,6 +206,12 @@ class TestMetrics:
         code, _, err = run(capsys, "metrics", "--in", str(bad))
         assert code == 2
         assert "line 3" in err
+
+    def test_json_rows_not_an_array(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"meta": {}, "rows": 5}\n')
+        code, out, err = run(capsys, "metrics", "--in", str(bad))
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_missing_input_and_sequence(self, capsys):
         code, _, err = run(capsys, "metrics")
@@ -315,6 +345,19 @@ class TestCompare:
         )
         assert code == 2 and "flavor" in err
 
+    def test_negative_rng_seed_in_series(self, capsys):
+        code, out, err = run(
+            capsys,
+            "compare",
+            "--series",
+            "uniform:rng_seed=-5",
+            "--series",
+            "vdc",
+            "--count",
+            "5",
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_unknown_series_name(self, capsys):
         code, _, err = run(
             capsys, "compare", "--series", "sobol", "--series", "vdc", "--count", "5"
@@ -360,6 +403,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "cn_zero")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+    def test_prop2_small_budget_runs(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "prop2", "--budget", "33")
+        assert code == 0 and err == ""
+        assert json.loads(out)["passed"] is True
 
     def test_budget_with_all_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--budget", "50")

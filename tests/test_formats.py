@@ -46,6 +46,7 @@ class TestRunConfig:
             dict(alpha="nan"),
             dict(alpha="-2"),
             dict(alpha="phi-ish"),
+            dict(alpha="inf"),
         ],
     )
     def test_rejects_bad_fields(self, kw):
@@ -192,6 +193,10 @@ class TestDumpParsing:
     def test_error_on_empty_dump(self):
         with pytest.raises(DumpParseError):
             read_dump_text(f"{self.HEADER}\n")
+
+    def test_json_rows_must_be_an_array(self):
+        with pytest.raises(DumpParseError, match="'rows' array"):
+            read_dump_text('{"meta": {}, "rows": 5}')
 
     def test_json_error_carries_line(self):
         with pytest.raises(DumpParseError, match="line"):

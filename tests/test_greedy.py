@@ -14,14 +14,13 @@ from greedyw2 import (
     enumerate_candidates,
     extend,
     generate_sequence,
-    greedy_values,
     kritzinger_f,
     next_point,
     next_point_via_e,
     w2_squared,
 )
 from greedyw2 import greedy
-from greedyw2.greedy import TIE_RULES
+from greedyw2.greedy import TIE_RULES, greedy_values
 from greedyw2.metrics import step_identity_check
 from greedyw2.numeric import ConfigError, DomainError
 
@@ -115,6 +114,9 @@ class TestStateBasics:
             rational_state([F(3, 2)])
         with pytest.raises(DomainError):
             SequenceState([-0.25], backend=Backend.FLOAT)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(DomainError):
+                SequenceState([0.5, bad], backend=Backend.FLOAT)
 
     def test_rejects_wrong_scalar_type(self):
         with pytest.raises(Exception):

@@ -1,12 +1,12 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedyw2 import (
-    GFunction,
+from greedyw2.lemma import (
     PiecewiseFunction,
     basic_lemma_identity,
     fact_check,
@@ -87,11 +87,16 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             g.eval(F(-1, 2))
 
+    def test_counting_deviation_counts_left_closed(self):
+        g = PiecewiseFunction.from_counting_deviation((F(1, 4), F(1, 2)))
+        assert g.eval(F(1, 4)) == 1 - 2 * F(1, 4)
+        assert g.eval(F(1, 5)) == -2 * F(1, 5)
+        assert g.eval(F(1)) == 0
+
     @given(interior_points, unit_fractions)
     def test_counting_deviation_matches_count_formula(self, pts, x):
         g = PiecewiseFunction.from_counting_deviation(pts)
-        ref = GFunction(tuple(pts))
-        assert g.eval(x) == ref.eval(x)
+        assert g.eval(x) == bisect_right(pts, x) - len(pts) * x
 
 
 class TestAntiderivative:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from greedyw2 import (
     Backend,
-    DiscrepancyReport,
-    GFunction,
     SequenceState,
     l2_discrepancy_squared,
     max_abs_H,
@@ -19,7 +17,7 @@ from greedyw2 import (
     step_identity_check,
     w2_squared,
 )
-from greedyw2.metrics import sorted_prefixes
+from greedyw2.metrics import DiscrepancyReport, sorted_prefixes
 from greedyw2.numeric import DomainError
 
 F = Fraction
@@ -75,6 +73,9 @@ class TestClosedForms:
             w2_squared(bad)
         with pytest.raises(DomainError):
             l2_discrepancy_squared(bad)
+        if bad:  # max|H| of the empty set is 0
+            with pytest.raises(DomainError):
+                max_abs_H(bad)
 
     @given(point_sets)
     def test_transport_identity(self, pts):
@@ -93,34 +94,26 @@ class TestClosedForms:
 
 
 class TestGFunction:
-    def test_eval_counts_left_closed(self):
-        g = GFunction((F(1, 4), F(1, 2)))
-        assert g.eval(F(1, 4)) == 1 - 2 * F(1, 4)
-        assert g.eval(F(1, 5)) == -2 * F(1, 5)
-        assert g.eval(F(1)) == 0
-
     def test_max_abs_h_single_point(self):
-        assert max_abs_H(GFunction((F(1, 2),))) == F(1, 8)
+        assert max_abs_H((F(1, 2),)) == F(1, 8)
 
     def test_max_abs_h_empty(self):
-        assert max_abs_H(GFunction(())) == 0
+        assert max_abs_H(()) == 0
 
     def test_max_abs_h_endpoint_mass(self):
         # one point at 0: g = 1 - x on (0, 1], H(z) = z - z^2/2, max at z=1
-        assert max_abs_H(GFunction((F(0),))) == F(1, 2)
+        assert max_abs_H((F(0),)) == F(1, 2)
 
     def test_max_abs_h_interior_vertex(self):
         # points {1/4, 3/4}: H has a vertex at the interior zero x = 1/2
-        g = GFunction((F(1, 4), F(3, 4)))
-        assert max_abs_H(g) == F(1, 16)
+        assert max_abs_H((F(1, 4), F(3, 4))) == F(1, 16)
 
     @given(point_sets)
     def test_h_is_zero_mean_consistent(self, pts):
         # H(1) = int_0^1 g = n/ n... H(1) = sum(1 - x_k) - n/2... direct check
-        g = GFunction(tuple(pts))
         n = len(pts)
         h1 = sum(F(1) - x for x in pts) - F(n, 2)
-        assert abs(h1) <= max_abs_H(g)
+        assert abs(h1) <= max_abs_H(pts)
 
 
 class TestStepIdentity:
@@ -142,7 +135,7 @@ class TestReport:
         assert rep.w2_squared == pytest.approx(float(w2_squared(pts)), abs=1e-15)
         assert rep.l2_disc_squared == pytest.approx(float(l2_discrepancy_squared(pts)), abs=1e-15)
         assert rep.star_disc == float(star_discrepancy(pts))
-        assert rep.max_abs_h == float(max_abs_H(GFunction(tuple(pts))))
+        assert rep.max_abs_h == float(max_abs_H(pts))
         assert rep.star_over_log == pytest.approx(rep.star_disc / math.log(2))
 
     def test_log_ratio_undefined_at_one(self):
@@ -167,7 +160,7 @@ class TestMetricSeries:
             )
             assert series["star"][i] == pytest.approx(star_discrepancy(prefix), abs=1e-11)
             assert series["maxh"][i] == pytest.approx(
-                max_abs_H(GFunction(tuple(prefix))), abs=1e-11
+                max_abs_H(prefix), abs=1e-11
             )
 
     def test_stride_includes_final_length(self):

@@ -6,7 +6,6 @@ import pytest
 
 from greedyw2 import (
     Backend,
-    GFunction,
     SequenceState,
     enumerate_candidates,
     max_abs_H,
@@ -105,7 +104,7 @@ class TestDefiningIntegrals:
         rng = random.Random(2)
         for _ in range(8):
             pts = sorted(rng.random() for _ in range(rng.randint(1, 40)))
-            exact = float(max_abs_H(GFunction(tuple(pts))))
+            exact = float(max_abs_H(pts))
             grid = grid_max_abs_h(pts, GridSpec(resolution=10**5))
             assert grid == pytest.approx(exact, abs=1e-7)
             assert grid <= exact + 1e-12  # grid scan is a lower bound

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from greedyw2 import SUITES, greedy_values, run_suite
+from greedyw2 import SUITES, run_suite
+from greedyw2.greedy import greedy_values
 from greedyw2.numeric import ConfigError
 from greedyw2.verify import l2_series_fsum
 
@@ -54,6 +55,12 @@ class TestSuitesPass:
         rep = run_suite(name, budget=budget, seed=0)
         failing = [c for c in rep.checks if not c.passed]
         assert rep.passed, f"failing checks: {[(c.name, c.margin, c.detail) for c in failing]}"
+
+    @pytest.mark.parametrize("name", ["prop2", "kritzinger_bound"])
+    @pytest.mark.parametrize("budget", [1, 2, 33, 50])
+    def test_seeded_runs_pass_at_small_budgets(self, name, budget):
+        # A run draws fewer seeds than its budget, so it always takes a greedy step.
+        assert run_suite(name, budget=budget, seed=0).passed
 
     def test_seeds_change_instances_not_outcomes(self):
         a = run_suite("theorem1", budget=20, seed=1)
