@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,8 +126,7 @@ class RunConfig:
         return pairs
 
 
-@dataclass(frozen=True)
-class DumpRow:
+class DumpRow(NamedTuple):
     """One emitted point: raw candidate form, reduced fraction, float value."""
 
     step: int
@@ -226,9 +225,7 @@ def write_dump(fh: IO[str], meta: dict[str, str], rows: Sequence[DumpRow], fmt: 
     write_table(fh, meta, DUMP_COLUMNS, table, fmt)
 
 
-def _parse_optional_int(cell: str, lineno: int, column: str) -> int | None:
-    if cell == "":
-        return None
+def _parse_int(cell: str, lineno: int, column: str) -> int:
     try:
         return int(cell)
     except ValueError:
@@ -240,24 +237,25 @@ def _parse_row_cells(cells: Sequence[str], lineno: int) -> DumpRow:
         raise DumpParseError(
             f"line {lineno}: expected {len(DUMP_COLUMNS)} comma-separated fields, got {len(cells)}"
         )
-    step = _parse_optional_int(cells[0], lineno, "step")
-    if step is None:
+    step_cell, num_cell, den_cell, reduced_cell, value_cell = cells
+    if not step_cell:
         raise DumpParseError(f"line {lineno}: missing step number")
-    num = _parse_optional_int(cells[1], lineno, "raw_numerator")
-    den = _parse_optional_int(cells[2], lineno, "raw_denominator")
+    step = _parse_int(step_cell, lineno, "step")
+    num = _parse_int(num_cell, lineno, "raw_numerator") if num_cell else None
+    den = _parse_int(den_cell, lineno, "raw_denominator") if den_cell else None
     if (num is None) != (den is None):
         raise DumpParseError(f"line {lineno}: raw numerator and denominator must appear together")
     reduced: Fraction | None = None
-    if cells[3]:
+    if reduced_cell:
         try:
-            j, _, q = cells[3].partition("/")
+            j, _, q = reduced_cell.partition("/")
             reduced = Fraction(int(j), int(q))
         except (ValueError, ZeroDivisionError):
-            raise DumpParseError(f"line {lineno}: bad reduced fraction {cells[3]!r}") from None
+            raise DumpParseError(f"line {lineno}: bad reduced fraction {reduced_cell!r}") from None
     try:
-        value = float(cells[4])
+        value = float(value_cell)
     except ValueError:
-        raise DumpParseError(f"line {lineno}: bad float value {cells[4]!r}") from None
+        raise DumpParseError(f"line {lineno}: bad float value {value_cell!r}") from None
     if not 0.0 <= value <= 1.0:
         raise DumpParseError(f"line {lineno}: float value {value!r} is outside [0, 1]")
     return DumpRow(step, num, den, reduced, value)
@@ -289,6 +287,8 @@ def _read_dump_json(text: str) -> tuple[dict[str, str], list[DumpRow]]:
             "" if item.get(col) is None else str(item.get(col)) for col in DUMP_COLUMNS
         ]
         rows.append(_parse_row_cells(cells, i))
+    if not rows:
+        raise DumpParseError("line 1: dump contains no rows")
     return {str(k): str(v) for k, v in meta.items()}, rows
 
 

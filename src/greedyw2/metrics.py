@@ -19,6 +19,15 @@ point-independent term cancel; the test suite re-derives this before any
 code relies on it.  W2^2, int g^2 and max|H| are computed exactly on the
 points (a float is an exact binary fraction) and rounded once to float when
 the input holds floats; exact input gives exact Fractions.
+
+``metric_series`` is the batch float path over every prefix of a sequence.
+Each row reads all four columns from a few shared arrays: the deviations
+d_k = x_k - (2k-1)/(2n), giving int g^2 = n sum d_k^2 + 1/12 and
+W2^2 = int g^2 / n^2, and the one-sided values of g at the breakpoints
+b = (0, x_1, ..., x_n, 1), giving the star discrepancy (bit for bit the
+formula above) and H at its breakpoints and interior vertices.  It uses
+only elementwise numpy passes and pairwise sums, never a BLAS product, so
+its output bytes do not depend on the machine's BLAS library.
 """
 
 from __future__ import annotations
@@ -179,24 +188,6 @@ def report(points: Iterable) -> DiscrepancyReport:
 # -- batch float path ----------------------------------------------------
 
 
-def _maxh_sorted(x: np.ndarray, c: np.ndarray) -> float:
-    """max|H| of the sorted floats ``x``; ``c`` is 0, 1, ..., len(x), the
-    count on each segment between consecutive breakpoints."""
-    n = x.size
-    b = np.concatenate(([0.0], x, [1.0]))
-    hinc = c * (b[1:] - b[:-1]) - (n / 2.0) * (b[1:] ** 2 - b[:-1] ** 2)
-    hb = np.concatenate(([0.0], np.cumsum(hinc)))
-    best = float(np.abs(hb).max())
-    zeros = c / n
-    mask = (zeros > b[:-1]) & (zeros < b[1:])
-    if mask.any():
-        z = zeros[mask]
-        b0 = b[:-1][mask]
-        hc = hb[:-1][mask] + c[mask] * (z - b0) - (n / 2.0) * (z * z - b0 * b0)
-        best = max(best, float(np.abs(hc).max()))
-    return best
-
-
 def sorted_prefixes(values: Sequence[float], every: int = 1) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, the first n values sorted) for every ``every``-th n and for
     the full length.
@@ -237,10 +228,24 @@ def metric_series(
 
     Returns arrays keyed by 'n' plus the requested metric names; rows cover
     every ``every``-th prefix size and always the full length.  The prefixes
-    come from ``sorted_prefixes``, and the per-row constants (the counts
-    0..N and the odd weights 2k - 1) are built once at the full length and
-    sliced, so a row costs O(n) on top of its prefix.  Uses pairwise float
-    summation: adequate for plotting and for bounds with real slack, not for
+    come from ``sorted_prefixes``.  Each row fills a few shared arrays, in
+    scratch buffers allocated once at length N + 2, and reads every
+    requested column from them, so a row costs O(n) elementwise work on top
+    of its prefix and makes no BLAS call:
+
+    - d_k = x_k - (2k-1)/(2n); l2 = n sum d_k^2 + 1/12, summed by numpy's
+      pairwise ``add.reduce``, and w2 = l2 / n^2 (int g^2 = n^2 W2^2).
+    - b = (0, x_1, ..., x_n, 1) and nb = n b.  For c = 0..n,
+      A_c = c - nb_c is g just right of b_c and B_c = c - nb_{c+1} is g just
+      left of b_{c+1}.
+    - star = max(max A, -min B), equal bit for bit to
+      max_k max(|k - n x_k|, |k-1 - n x_k|).
+    - 2H at the breakpoints is the running sum of (A_c + B_c)(b_{c+1} - b_c);
+      where A_c > 0 > B_c, g has a zero inside segment c and
+      2H there is 2H(b_c) + A_c^2/n.  max|H| is half the largest |2H|.
+
+    The float columns agree with the exact closed forms to about 1e-13
+    relative; they are for plotting and for bounds with real slack, not for
     near-tie decisions.  Raises DomainError for an empty sequence, a value
     that is NaN or outside [0, 1], an unknown metric or a stride below 1.
     """
@@ -254,27 +259,51 @@ def metric_series(
     unknown = want - {"w2", "l2", "star", "maxh"}
     if unknown:
         raise DomainError(f"unknown metrics {sorted(unknown)}")
-    counts = np.arange(vals.size + 1, dtype=np.float64)  # 0, 1, ..., N
+    quad = bool(want & {"w2", "l2"})
+    jumps = bool(want & {"star", "maxh"})
+    size = vals.size
+    counts = np.arange(size + 1, dtype=np.float64)  # 0, 1, ..., N
     odd = 2.0 * counts[1:] - 1.0  # odd weights 1, 3, ..., 2N-1
+    d = np.empty(size)
+    b = np.zeros(size + 2)  # b[0] = 0 stays
+    nb, h2 = np.empty(size + 2), np.zeros(size + 2)  # h2[0] = 2H(0) = 0 stays
+    A, B, t = np.empty(size + 1), np.empty(size + 1), np.empty(size + 1)
     ns: list[int] = []
     cols: dict[str, list[float]] = {name: [] for name in want}
     for n, x in sorted_prefixes(vals, every):
-        k2 = odd[:n]
         ns.append(n)
-        if "w2" in want:
-            cols["w2"].append(
-                (n * n / 3.0 + n * float(x @ x) - float(k2 @ x)) / (n * n)
-            )
-        if "l2" in want:
-            d = x - k2 / (2.0 * n)
-            cols["l2"].append(n * float(d @ d) + 1.0 / 12.0)
+        if quad:
+            dn = d[:n]
+            np.divide(odd[:n], 2.0 * n, out=dn)
+            np.subtract(x, dn, out=dn)
+            np.multiply(dn, dn, out=dn)
+            l2 = n * float(np.add.reduce(dn)) + 1.0 / 12.0
+            if "l2" in want:
+                cols["l2"].append(l2)
+            if "w2" in want:
+                cols["w2"].append(l2 / (n * n))
+        if not jumps:
+            continue
+        bn, nbn, An, Bn = b[: n + 2], nb[: n + 2], A[: n + 1], B[: n + 1]
+        bn[1 : n + 1] = x
+        bn[n + 1] = 1.0
+        np.multiply(bn, n, out=nbn)
+        np.subtract(counts[: n + 1], nbn[:-1], out=An)
+        np.subtract(counts[: n + 1], nbn[1:], out=Bn)
         if "star" in want:
-            nx = n * x
-            cols["star"].append(
-                float(np.maximum(np.abs(counts[1 : n + 1] - nx), np.abs(counts[:n] - nx)).max())
-            )
+            cols["star"].append(float(max(np.maximum.reduce(An), -np.minimum.reduce(Bn))))
         if "maxh" in want:
-            cols["maxh"].append(_maxh_sorted(x, counts[: n + 1]))
+            hn, tn = h2[: n + 2], t[: n + 1]
+            np.subtract(bn[1:], bn[:-1], out=hn[1:])  # segment widths, then 2H
+            np.add(An, Bn, out=tn)
+            np.multiply(tn, hn[1:], out=tn)
+            np.cumsum(tn, out=hn[1:])
+            best = max(np.maximum.reduce(hn), -np.minimum.reduce(hn))
+            inner = np.flatnonzero((An > 0.0) & (Bn < 0.0))
+            if inner.size:
+                a = An[inner]
+                best = max(best, np.maximum.reduce(hn[inner] + a * a / n))
+            cols["maxh"].append(0.5 * float(best))
     out: dict[str, np.ndarray] = {"n": np.asarray(ns, dtype=np.int64)}
     for name, col in cols.items():
         out[name] = np.asarray(col, dtype=np.float64)

@@ -213,6 +213,13 @@ class TestMetrics:
         code, out, err = run(capsys, "metrics", "--in", str(bad))
         assert code == 2 and out == "" and err.startswith("error:")
 
+    def test_empty_json_dump_names_file(self, capsys, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"meta": {}, "rows": []}\n')
+        code, out, err = run(capsys, "metrics", "--in", str(empty))
+        assert code == 2 and out == ""
+        assert str(empty) in err and "no rows" in err
+
     def test_missing_input_and_sequence(self, capsys):
         code, _, err = run(capsys, "metrics")
         assert code == 2 and "--in" in err
@@ -481,27 +488,27 @@ class TestGoldenBytes:
             ),
             pytest.param(
                 ("metrics", *_KRITZ_200, "--every", "1"),
-                "85eac2a5094969c23a40146460554a44b9d921bc4a3cb5f3d36151e579a5ca0c",
+                "202d38c9f68b987a0a635e77bf7d2bc6638bf475e1d08d0f2a8e32a97b908b69",
                 id="metrics-csv",
             ),
             pytest.param(
                 ("metrics", *_KRITZ_200, "--every", "1", "--format", "json"),
-                "f7ae88cb94b53015b1523d73eada1e52a0601bc7b6f724fd9bb7b3cd9025a694",
+                "8bca109f5aff2fd80f7c0cbb72b62e1f1e4688e11c4ef0913ee09de23c2d255d",
                 id="metrics-json",
             ),
             pytest.param(
                 ("metrics", *_KRITZ_200, "--every", "1", "--star-scale", "normalized"),
-                "aa4046ee0eac6294692ec2435e644728f7f6af61810df37f289d40eabeee8313",
+                "c46a2040e5ed528f2a71e0d8d56c6a9bac60e5d35f1b38facc136f83d2a31b94",
                 id="metrics-normalized-csv",
             ),
             pytest.param(
                 ("metrics", *_KRITZ_200, "--every", "7"),
-                "bf4f77d552e311780dcb868169c91e5e46f9cfd0dc126bb4c0b59360567533c0",
+                "d0a87ca0f03f447e781f7c229ed5e8a1ea21d80af0e6241294e74cfb5c4e3232",
                 id="metrics-every7-csv",
             ),
             pytest.param(
                 ("metrics", *_KRITZ_200, "--every", "64", "--format", "json"),
-                "aa98c187ef6421bce24fbea035dfff958355f4a5cc03e2415117611bbe33df03",
+                "df17eb2a4605d71440f23e16dfd0c664fd66094c8264cde62a17c70c5289fc0f",
                 id="metrics-every64-json",
             ),
             pytest.param(
@@ -520,6 +527,44 @@ class TestGoldenBytes:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestPortableBytes:
+    """Reports must not depend on the BLAS library's kernel or thread count:
+    a child pinned to single-threaded Prescott kernels writes the same bytes
+    as this process."""
+
+    def test_child_with_other_blas_writes_same_report(self, capsys, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import greedyw2
+
+        dump = tmp_path / "uniform.csv"
+        generate = ("generate", "--sequence", "uniform", "--count", "20001", "--out", str(dump))
+        assert run(capsys, *generate)[0] == 0
+        src = os.path.dirname(os.path.dirname(greedyw2.__file__))
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            "OPENBLAS_NUM_THREADS": "1",
+            "OPENBLAS_CORETYPE": "Prescott",
+        }
+        for argv in (
+            ("metrics", *_KRITZ_200, "--every", "1"),
+            ("metrics", "--in", str(dump), "--every", "10000"),
+        ):
+            code, here, _ = run(capsys, *argv)
+            assert code == 0
+            child = subprocess.run(
+                [sys.executable, "-m", "greedyw2", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert child.returncode == 0, child.stderr
+            assert child.stdout == here
 
 
 class TestParser:

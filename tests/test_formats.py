@@ -194,6 +194,10 @@ class TestDumpParsing:
         with pytest.raises(DumpParseError):
             read_dump_text(f"{self.HEADER}\n")
 
+    def test_error_on_empty_json_dump(self):
+        with pytest.raises(DumpParseError, match="line 1: dump contains no rows"):
+            read_dump_text('{"meta": {}, "rows": []}')
+
     def test_json_rows_must_be_an_array(self):
         with pytest.raises(DumpParseError, match="'rows' array"):
             read_dump_text('{"meta": {}, "rows": 5}')

@@ -19,6 +19,7 @@ from greedyw2 import (
 )
 from greedyw2.metrics import DiscrepancyReport, sorted_prefixes
 from greedyw2.numeric import DomainError
+from greedyw2.verify import greedy_values
 
 F = Fraction
 
@@ -211,3 +212,40 @@ class TestMetricSeries:
         series = metric_series(vals, every=n)
         assert series["l2"][-1] == pytest.approx(1 / 12, abs=1e-14)
         assert series["star"][-1] == pytest.approx(0.5, abs=1e-14)
+
+    @staticmethod
+    def _assert_matches_exact_report(vals, every):
+        series = metric_series(vals, every=every)
+        for i, n in enumerate(series["n"]):
+            rep = report(sorted(Fraction(v) for v in vals[:n]))
+            exact = {
+                "w2": rep.w2_squared,
+                "l2": rep.l2_disc_squared,
+                "star": rep.star_disc,
+                "maxh": rep.max_abs_h,
+            }
+            for name, want in exact.items():
+                err = abs(Fraction(series[name][i]) - Fraction(want))
+                assert err <= Fraction(1, 10**12) * abs(Fraction(want)), (name, int(n))
+
+    def test_greedy_rows_match_exact_report(self):
+        vals = np.asarray(greedy_values([0.5], 2000))
+        self._assert_matches_exact_report(vals, every=250)
+
+    def test_duplicates_and_endpoints_match_exact_report(self):
+        m = 400
+        lattice = [(2 * k - 1) / (2 * m) for k in range(1, m + 1)]
+        vals = np.random.default_rng(7).permutation(lattice * 2 + [0.0, 1.0, 0.0, 1.0])
+        self._assert_matches_exact_report(vals, every=101)
+
+    @settings(max_examples=60)
+    @given(st.lists(unit_floats, min_size=1, max_size=80))
+    def test_star_is_the_elementwise_maximum(self, values):
+        v = np.asarray(values, dtype=np.float64)
+        series = metric_series(v, metrics=("star",))
+        for n, star in zip(series["n"], series["star"]):
+            x = np.sort(v[:n])
+            k = np.arange(1, n + 1, dtype=np.float64)
+            nx = n * x
+            want = np.maximum(np.abs(k - nx), np.abs(k - 1 - nx)).max()
+            assert star.tobytes() == want.tobytes()
