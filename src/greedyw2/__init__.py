@@ -19,7 +19,6 @@ from .greedy import (
     e_functional,
     enumerate_candidates,
     extend,
-    generate_sequence,
     kritzinger_f,
     next_point,
     next_point_via_e,
@@ -47,7 +46,6 @@ __all__ = [
     "next_point",
     "next_point_via_e",
     "extend",
-    "generate_sequence",
     "kritzinger_f",
     "enumerate_candidates",
     "e_functional",

@@ -165,16 +165,12 @@ def _kritzinger_rows(config: RunConfig) -> list[DumpRow]:
         rows.append(DumpRow(step, None, None, reduced, float(value)))
     state = SequenceState(seed_values, backend=backend)
     added = extend(state, config.count, tie_rule=config.tie_rule)
-    for chosen, reduced in zip(state.history, added, strict=True):
-        rows.append(
-            DumpRow(
-                chosen.step,
-                chosen.numerator,
-                chosen.denominator,
-                reduced,
-                chosen.numerator / chosen.denominator,
-            )
-        )
+    # The point added at step k is odd/(2k), so 2k is a multiple of its
+    # reduced denominator.
+    for step, reduced in enumerate(added, len(rows) + 1):
+        den = 2 * step
+        num = reduced.numerator * (den // reduced.denominator)
+        rows.append(DumpRow(step, num, den, reduced, num / den))
     return rows
 
 

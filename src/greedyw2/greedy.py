@@ -127,14 +127,12 @@ from .numeric import (
 
 __all__ = [
     "CandidateEvaluation",
-    "ChosenPoint",
     "GreedyInvariantError",
     "SequenceState",
     "TIE_RULES",
     "e_functional",
     "enumerate_candidates",
     "extend",
-    "generate_sequence",
     "greedy_values",
     "kritzinger_f",
     "next_point",
@@ -148,28 +146,6 @@ _U = 2.0**-53  # unit roundoff of float64
 
 class GreedyInvariantError(RuntimeError):
     """The state contradicts the minimizer structure; it has been corrupted."""
-
-
-@dataclass(frozen=True)
-class ChosenPoint:
-    """A greedily chosen point in raw form numerator/(2*step).
-
-    ``step`` is the index the point received in the sequence (the state held
-    step-1 points when it was picked), so ``denominator == 2*step`` and the
-    numerator is odd.  ``reduced`` gives the value in lowest terms.
-    """
-
-    step: int
-    numerator: int
-    denominator: int
-
-    @property
-    def reduced(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    @property
-    def raw(self) -> tuple[int, int]:
-        return (self.numerator, self.denominator)
 
 
 @dataclass(frozen=True)
@@ -197,11 +173,11 @@ class SequenceState:
     kernel filters with, and the bound ``eps`` on their rounding error (see
     the module docstring).  Each insertion updates D^ and ``eps`` in place.
     The backend fixes only the scalar type of what the state hands out; a
-    float state's points are the doubles nearest the exact ones.
-    ``history`` records every greedily added point in raw (odd numerator,
-    2*step) form; seed points have no raw form and are not in the history.
-    Every evaluation computes on the exact points and converts its result to
-    the backend's scalar type once, at the return.
+    float state's points are the doubles nearest the exact ones.  The point
+    added at step k (the state then holds k points) is (2m+1)/(2k) for its
+    rank m, so its raw form follows from its value and step and is not
+    stored.  Every evaluation computes on the exact points and converts its
+    result to the backend's scalar type once, at the return.
     """
 
     # _dev holds D^ in its first n+1 entries; _tmp and _mask are scratch;
@@ -209,7 +185,6 @@ class SequenceState:
     # five have the same capacity and are replaced, never resized, on growth.
     __slots__ = (
         "backend",
-        "history",
         "seed_count",
         "_pts",
         "_dev",
@@ -224,20 +199,14 @@ class SequenceState:
         if not isinstance(backend, Backend):
             backend = Backend.from_str(backend)
         self.backend = backend
-        self.history: list[ChosenPoint] = []
         seeds = list(seeds)
         self.seed_count = len(seeds)
         rational = backend is Backend.RATIONAL
         vals = []
         for s in seeds:
-            if not (is_rational_scalar(s) or (not rational and is_float_scalar(s))):
-                raise BackendMismatch(
-                    f"{backend.value} backend cannot seed from {type(s).__name__} value {s!r}"
-                )
-            v = s if rational else float(s)  # a float state seeds from the nearest double
-            if not 0 <= v <= 1:  # NaN fails too
-                raise DomainError(f"seed {s!r} lies outside [0, 1]")
-            vals.append(Fraction(v))
+            v = _unit_scalar(backend, s, "seed")
+            # a float state seeds from the nearest double
+            vals.append(Fraction(v if rational else float(v)))
         self._pts = sorted(vals)
         arr = np.array([float(p) for p in self._pts], dtype=np.float64)
         n = arr.size
@@ -282,7 +251,6 @@ class SequenceState:
 
     def copy(self) -> "SequenceState":
         dup = SequenceState((), backend=self.backend)
-        dup.history = list(self.history)
         dup.seed_count = self.seed_count
         dup._pts = list(self._pts)
         dup._dev = self._dev.copy()
@@ -295,7 +263,7 @@ class SequenceState:
     def __repr__(self) -> str:
         return (
             f"SequenceState(n={self.n}, backend={self.backend.value}, "
-            f"seeds={self.seed_count}, chosen={len(self.history)})"
+            f"seeds={self.seed_count}, chosen={self.n - self.seed_count})"
         )
 
     def _scalar(self, value: Fraction) -> Fraction | float:
@@ -320,19 +288,18 @@ class SequenceState:
         top = max(float(np.maximum.reduce(dev)), -float(np.minimum.reduce(dev)))
         self._eps = self._eps * (1.0 + 4.0 * _U) + _U * (2.0 * top + 5.0)
         self._pts.insert(m, value)
-        self.history.append(ChosenPoint(step=n + 1, numerator=2 * m + 1, denominator=2 * n + 2))
         return value
 
 
-def _check_scalar(state: SequenceState, x) -> Fraction:
-    """The argument as an exact fraction, checked against the backend and [0, 1]."""
-    if not (is_rational_scalar(x) or (state.backend is Backend.FLOAT and is_float_scalar(x))):
-        raise BackendMismatch(
-            f"{state.backend.value}-backend state got {type(x).__name__} argument {x!r}"
-        )
-    if not 0 <= x <= 1:
-        raise DomainError(f"argument {x!r} lies outside [0, 1]")
-    return Fraction(x)
+def _unit_scalar(backend: Backend, x, what: str):
+    """``x`` unchanged after two checks: it is a rational, or a float on a
+    float backend (else ``BackendMismatch``), and it lies in [0, 1] (else
+    ``DomainError``); ``what`` names it in the messages."""
+    if not (is_rational_scalar(x) or (backend is Backend.FLOAT and is_float_scalar(x))):
+        raise BackendMismatch(f"{backend.value}-backend state got {type(x).__name__} {what} {x!r}")
+    if not 0 <= x <= 1:  # NaN fails too
+        raise DomainError(f"{what} {x!r} lies outside [0, 1]")
+    return x
 
 
 def kritzinger_f(state: SequenceState, x) -> Fraction | float:
@@ -341,7 +308,7 @@ def kritzinger_f(state: SequenceState, x) -> Fraction | float:
     Points equal to x contribute x to the max-sum either way, so the split
     into #(points below x) and a suffix sum over points >= x is exact.
     """
-    x = _check_scalar(state, x)
+    x = Fraction(_unit_scalar(state.backend, x, "argument"))
     pts = state.exact_points
     i = bisect.bisect_left(pts, x)
     return state._scalar((state.n + 1) * x * x - x - 2 * (x * i + sum(pts[i:])))
@@ -445,8 +412,8 @@ def next_point(state: SequenceState, tie_rule: str = "smallest") -> Fraction:
 
     Among exact ties the tie rule picks the smallest or largest candidate
     value.  The decision is exact in both backends (see the module
-    docstring); the returned fraction is the exact chosen value, the state
-    stores it and the raw form goes into ``state.history``.
+    docstring); the returned fraction is the exact chosen value, which the
+    state stores.
     """
     _check_tie_rule(tie_rule)
     return state._insert_candidate(_argmin(state, tie_rule))
@@ -463,7 +430,7 @@ def e_functional(state: SequenceState, z) -> Fraction | float:
     used here with prefix/suffix splits at z (points equal to z contribute
     identically to either side).
     """
-    z = _check_scalar(state, z)
+    z = Fraction(_unit_scalar(state.backend, z, "argument"))
     n = state.n
     pts = state.exact_points
     j = bisect.bisect_right(pts, z)
@@ -510,29 +477,12 @@ def next_point_via_e(state: SequenceState, tie_rule: str = "smallest") -> Fracti
     return state._insert_candidate(m)
 
 
-def extend(
-    state: SequenceState,
-    count: int,
-    tie_rule: str = "smallest",
-    via_e: bool = False,
-) -> list[Fraction]:
-    """Grow the state until it holds ``count`` points; returns the additions."""
+def extend(state: SequenceState, count: int, tie_rule: str = "smallest") -> list[Fraction]:
+    """Grow the state until it holds ``count`` points; returns the exact
+    additions in step order."""
     if count < state.n:
         raise DomainError(f"cannot shrink a state of {state.n} points to {count}")
-    step = next_point_via_e if via_e else next_point
-    return [step(state, tie_rule) for _ in range(count - state.n)]
-
-
-def generate_sequence(
-    seeds: Iterable = (),
-    count: int = 1,
-    backend: Backend = Backend.RATIONAL,
-    tie_rule: str = "smallest",
-) -> SequenceState:
-    """Build a state from seeds and greedily extend it to ``count`` points."""
-    state = SequenceState(seeds, backend=backend)
-    extend(state, count, tie_rule)
-    return state
+    return [next_point(state, tie_rule) for _ in range(count - state.n)]
 
 
 def greedy_values(

@@ -20,7 +20,6 @@ from greedyw2.greedy import (
     SequenceState,
     enumerate_candidates,
     extend,
-    generate_sequence,
     next_point,
     next_point_via_e,
 )
@@ -54,7 +53,7 @@ def randomized_runs():
         values = np.asarray(
             [float(s) for s in seeds] + [float(c) for c in chosen], dtype=float
         )
-        runs.append((n0, state, values, l2_series_fsum(values)))
+        runs.append((n0, chosen, values, l2_series_fsum(values)))
     return runs
 
 
@@ -62,24 +61,25 @@ def test_criterion_01_seeded_continuation_exact_and_fast():
     seeds = [1.0 / math.pi, 1.0 / math.e, 1.0 / math.sqrt(2.0)]
     start = time.perf_counter()
     state = SequenceState(seeds, backend=Backend.FLOAT)
-    extend(state, 9)
+    chosen = extend(state, 9)
     elapsed = time.perf_counter() - start
-    raw = [(c.numerator, c.denominator) for c in state.history]
+    steps = range(state.n - len(chosen) + 1, state.n + 1)
+    raw = [(v * 2 * k, 2 * k) for k, v in zip(steps, chosen, strict=True)]
     assert raw == [(7, 8), (1, 10), (7, 12), (7, 14), (13, 16), (3, 18)]
-    assert [c.step for c in state.history] == [4, 5, 6, 7, 8, 9]
+    assert list(steps) == [4, 5, 6, 7, 8, 9]
     assert elapsed < 1.0
     print(f"criterion 01 PASS: x4..x9 raw forms exact, {elapsed * 1e3:.1f} ms")
 
 
 def test_criterion_02_growth_bound_on_random_seed_runs(randomized_runs):
     worst = math.inf
-    for n0, state, values, l2 in randomized_runs:
+    for n0, chosen, values, l2 in randomized_runs:
         seen = set()
         for k, v in enumerate(values, start=1):
             if k > n0:  # greedily added point: new and of form (2j+1)/(2k)
-                c = state.history[k - n0 - 1]
-                assert c.denominator == 2 * k
-                assert c.numerator % 2 == 1
+                raw = chosen[k - n0 - 1] * 2 * k
+                assert raw.denominator == 1
+                assert raw.numerator % 2 == 1
                 assert v not in seen
             seen.add(v)
         c0 = max(0.0, float(l2[n0 - 1]) - n0 / 3.0) if n0 else 0.0
@@ -238,9 +238,10 @@ def test_criterion_09_compare_series_deterministic_with_frozen_sup(
 
 
 def test_criterion_10_first_point_and_centered_lattice():
-    state = generate_sequence(count=1)
+    state = SequenceState([], backend=Backend.RATIONAL)
+    chosen = extend(state, 1)
     assert state.points == [F(1, 2)]
-    assert state.history[0].raw == (1, 2)
+    assert [(v * 2 * k, 2 * k) for k, v in enumerate(chosen, 1)] == [(1, 2)]
     for n in range(1, 101):
         lattice = [F(2 * k - 1, 2 * n) for k in range(1, n + 1)]
         assert metrics.l2_discrepancy_squared(lattice) == F(1, 12)

@@ -19,7 +19,6 @@ PUBLIC_NAMES = {
     "next_point",
     "next_point_via_e",
     "extend",
-    "generate_sequence",
     "kritzinger_f",
     "enumerate_candidates",
     "e_functional",
@@ -36,7 +35,7 @@ PUBLIC_NAMES = {
 
 
 def test_top_level_names_are_the_documented_api():
-    assert len(greedyw2.__all__) == 23
+    assert len(greedyw2.__all__) == 22
     assert set(greedyw2.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(greedyw2, name)

@@ -1,8 +1,11 @@
 import io
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedyw2.formats import (
     COMPARE_COLUMNS,
@@ -23,6 +26,17 @@ from greedyw2.formats import (
 from greedyw2.numeric import ConfigError
 
 F = Fraction
+
+
+# Seed literals as the CLI takes them: 'j/q' rationals, the exact decimal
+# expansion of a double, and a few values that repeat, including 0 and 1.
+seed_texts = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=1000).map(
+        lambda f: f"{f.numerator}/{f.denominator}"
+    ),
+    st.floats(min_value=0.0, max_value=1.0).map(lambda x: format(Decimal(x), "f")),
+    st.sampled_from(["0", "1", "1/3", "1/2", "2/3", "half"]),
+)
 
 
 def kritz_config(**kw):
@@ -92,6 +106,28 @@ class TestBuildDump:
         rows = build_dump(cfg)
         assert rows[0].reduced is None
         assert rows[1].reduced is not None  # chosen points are exact rationals
+
+    @given(
+        seeds=st.lists(seed_texts, max_size=6),
+        extra=st.integers(0, 54),
+        backend=st.sampled_from(["rational", "float"]),
+        tie_rule=st.sampled_from(["smallest", "largest"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_greedy_raw_columns(self, seeds, extra, backend, tie_rule):
+        cfg = kritz_config(
+            seeds=tuple(seeds), count=max(1, len(seeds) + extra), backend=backend,
+            tie_rule=tie_rule,
+        )
+        rows = build_dump(cfg)
+        assert [r.step for r in rows] == list(range(1, cfg.count + 1))
+        for row in rows[: len(seeds)]:
+            assert row.raw_numerator is None and row.raw_denominator is None
+        for row in rows[len(seeds) :]:
+            assert row.raw_denominator == 2 * row.step
+            assert row.raw_numerator % 2 == 1
+            assert F(row.raw_numerator, row.raw_denominator) == row.reduced
+            assert row.float_value == row.raw_numerator / row.raw_denominator
 
     def test_vdc_rows(self):
         rows = build_dump(RunConfig(sequence="vdc", count=3, backend="rational"))

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from greedyw2 import (
     Backend,
+    BackendMismatch,
     GreedyInvariantError,
     SequenceState,
     e_functional,
     enumerate_candidates,
     extend,
-    generate_sequence,
     kritzinger_f,
     next_point,
     next_point_via_e,
@@ -35,6 +35,18 @@ dyadic_seed_lists = st.lists(
 
 def rational_state(seeds):
     return SequenceState(seeds, backend=Backend.RATIONAL)
+
+
+def grown(seeds, count, backend=Backend.RATIONAL):
+    state = SequenceState(seeds, backend=backend)
+    extend(state, count)
+    return state
+
+
+def raw_forms(added, first_step):
+    """(v*2k, 2k) for each value v added at step k, counting from ``first_step``;
+    a greedy value's v*2k is an odd integer."""
+    return [(v * 2 * k, 2 * k) for k, v in enumerate(added, first_step)]
 
 
 class TestKnownValues:
@@ -60,8 +72,7 @@ class TestKnownValues:
     def test_published_continuation_from_irrational_seeds(self):
         seeds = [1 / math.pi, 1 / math.e, 1 / math.sqrt(2)]
         state = SequenceState(seeds, backend=Backend.FLOAT)
-        extend(state, 9)
-        assert [c.raw for c in state.history] == [
+        assert raw_forms(extend(state, 9), 4) == [
             (7, 8),
             (1, 10),
             (7, 12),
@@ -72,10 +83,9 @@ class TestKnownValues:
 
     def test_raw_reduces(self):
         state = SequenceState([1 / math.pi, 1 / math.e, 1 / math.sqrt(2)], backend=Backend.FLOAT)
-        extend(state, 7)
-        last = state.history[-1]
-        assert last.raw == (7, 14)
-        assert last.reduced == F(1, 2)
+        added = extend(state, 7)
+        assert raw_forms(added, 4)[-1] == (7, 14)
+        assert added[-1] == F(1, 2)
 
     def test_functional_value_example(self):
         # one point at 1/2, n = 1: F(1/4) = 2/16 - 1/4 - 2*(1/2) = -9/8
@@ -86,7 +96,7 @@ class TestKnownValues:
 
     def test_colliding_candidate_is_never_selected(self):
         # Seed 1/2 grown to 4 points; candidate 5/10 equals the existing 1/2.
-        state = generate_sequence([F(1, 2)], 4)
+        state = grown([F(1, 2)], 4)
         evals = enumerate_candidates(state)
         assert F(1, 2) in [c.value for c in evals]
         nxt = next_point(state)
@@ -107,7 +117,8 @@ class TestStateBasics:
         next_point(clone)
         assert state.n == 1
         assert clone.n == 2
-        assert clone.history and not state.history
+        assert clone.points == [F(1, 4), F(1, 2)]
+        assert state.points == [F(1, 2)]
 
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(DomainError):
@@ -119,11 +130,15 @@ class TestStateBasics:
                 SequenceState([0.5, bad], backend=Backend.FLOAT)
 
     def test_rejects_wrong_scalar_type(self):
-        with pytest.raises(Exception):
+        with pytest.raises(BackendMismatch):
             rational_state([0.5])  # float seed in the exact backend
+        state = rational_state([F(1, 2)])
+        for functional in (kritzinger_f, e_functional):
+            with pytest.raises(BackendMismatch):
+                functional(state, 0.25)
 
     def test_extend_cannot_shrink(self):
-        state = generate_sequence([], 5)
+        state = grown([], 5)
         with pytest.raises(DomainError):
             extend(state, 3)
 
@@ -147,10 +162,9 @@ class TestGreedyProperties:
             pre = state.copy()
             evals = enumerate_candidates(pre)
             chosen = next_point(state)
-            record = state.history[-1]
             # raw form (2k+1)/(2n) at the new count n
-            assert record.denominator == 2 * (pre.n + 1)
-            assert record.numerator % 2 == 1
+            raw = chosen * 2 * (pre.n + 1)
+            assert raw.denominator == 1 and raw.numerator % 2 == 1
             assert 0 < chosen < 1
             # novelty
             assert chosen not in pre.points
@@ -229,38 +243,37 @@ class TestBackendAgreement:
         # ulp of the functional values.  Both backends pick it, and so does
         # the E route on the float backend.
         seed = F(0.3333333333333333)
-        exact = generate_sequence([seed], 3, backend=Backend.RATIONAL)
-        approx = generate_sequence([float(seed)], 3, backend=Backend.FLOAT)
-        assert [c.raw for c in exact.history] == [c.raw for c in approx.history]
-        assert exact.history[0].raw == (3, 4)
-        assert exact.history[1].raw == (3, 6)
+        exact = extend(SequenceState([seed], backend=Backend.RATIONAL), 3)
+        approx = extend(SequenceState([float(seed)], backend=Backend.FLOAT), 3)
+        assert exact == approx
+        assert raw_forms(exact, 2) == [(3, 4), (3, 6)]
         via_e = SequenceState([float(seed)], backend=Backend.FLOAT)
-        extend(via_e, 3, via_e=True)
-        assert [c.raw for c in via_e.history] == [(3, 4), (3, 6)]
+        assert raw_forms([next_point_via_e(via_e) for _ in range(2)], 2) == [(3, 4), (3, 6)]
         pre = SequenceState([seed, F(3, 4)], backend=Backend.RATIONAL)
         gap = kritzinger_f(pre, F(1, 6)) - kritzinger_f(pre, F(1, 2))
         assert 0 < gap < 1e-12
 
     def test_seed_half_agrees_to_two_thousand(self):
-        exact = generate_sequence([F(1, 2)], 2000, backend=Backend.RATIONAL)
-        approx = generate_sequence([0.5], 2000, backend=Backend.FLOAT)
-        assert [c.raw for c in exact.history] == [c.raw for c in approx.history]
+        exact = extend(SequenceState([F(1, 2)], backend=Backend.RATIONAL), 2000)
+        approx = extend(SequenceState([0.5], backend=Backend.FLOAT), 2000)
+        assert exact == approx
 
     def test_exact_tie_at_n_16059_from_seed_half(self):
         # Candidates m = 10292 and 10293 tie exactly here; the objective is
         # of size n, so a tolerance on F values cannot see the tie.
-        state = generate_sequence([0.5], 16059, backend=Backend.FLOAT)
-        assert next_point(state, "smallest") == F(20585, 32120)
-        assert state.history[-1].raw == (20585, 32120)
+        state = grown([0.5], 16059, Backend.FLOAT)
+        chosen = next_point(state, "smallest")
+        assert chosen == F(20585, 32120)
+        assert raw_forms([chosen], 16060) == [(20585, 32120)]
 
 
-def brute_force_next(seeds, state, tie_rule):
+def brute_force_next(seeds, added, tie_rule):
     """The tie rule's pick among the non-colliding exact minimizers of F.
 
     The exact points are the seeds (a float seed is an exact binary
-    fraction) and the exact values of the greedy points so far.
+    fraction) and ``added``, the exact values the greedy steps returned.
     """
-    points = [F(s) for s in seeds] + [c.reduced for c in state.history]
+    points = [F(s) for s in seeds] + list(added)
     exact = SequenceState(points, backend=Backend.RATIONAL)
     evals = enumerate_candidates(exact)
     best = min(c.f_value for c in evals)
@@ -288,10 +301,11 @@ class TestExactEngineFuzz:
         seeds = data.draw(st.lists(values, max_size=8), label="seeds")
         n = data.draw(st.integers(len(seeds), 197), label="n")
         state = SequenceState(seeds, backend=backend)
-        extend(state, n, tie_rule)
+        added = extend(state, n, tie_rule)
         for _ in range(3):
-            want = brute_force_next(seeds, state, tie_rule)
-            assert next_point(state, tie_rule) == want
+            want = brute_force_next(seeds, added, tie_rule)
+            added.append(next_point(state, tie_rule))
+            assert added[-1] == want
 
 
 def exact_deviation_sums(state):
@@ -330,8 +344,9 @@ class TestDeviationSums:
         backend = data.draw(st.sampled_from(backends), label="backend")
         state = SequenceState(seeds, backend=backend)
         assert_sums_within_bound(state)
+        added = []
         for via_e in routes:
-            (next_point_via_e if via_e else next_point)(state, tie_rule)
+            added.append((next_point_via_e if via_e else next_point)(state, tie_rule))
             assert_sums_within_bound(state)
         points = state.points
         dev = state._dev[: state.n + 1].copy()
@@ -341,7 +356,7 @@ class TestDeviationSums:
         assert np.array_equal(state._dev[: state.n + 1], dev)
         if backend is Backend.FLOAT:
             seeds = [float(s) for s in seeds]
-        want = brute_force_next(seeds, state, tie_rule)
+        want = brute_force_next(seeds, added, tie_rule)
         assert next_point(state, tie_rule) == want
 
 
@@ -372,19 +387,21 @@ class TestExactFallback:
 class TestInvariantErrors:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_corrupted_state_names_step_and_ranks(self, bad):
-        state = generate_sequence([0.5], 6, backend=Backend.FLOAT)
+        state = grown([0.5], 6, Backend.FLOAT)
+        points = state.points
         state._dev[2] = bad
         msg = r"step 7 \(n = 6\), candidate ranks m = 0\.\.6: "
         with pytest.raises(GreedyInvariantError, match=msg):
             next_point(state)
-        assert state.n == 6 and len(state.history) == 5
+        assert state.n == 6 and state.points == points
 
 
 class TestConvenienceApis:
-    def test_generate_sequence_reaches_count(self):
-        state = generate_sequence([F(1, 3)], 7)
+    def test_extend_reaches_count(self):
+        state = rational_state([F(1, 3)])
+        added = extend(state, 7)
         assert state.n == 7
-        assert len(state.history) == 6
+        assert len(added) == 6
 
     def test_greedy_values_order_and_length(self):
         vals = greedy_values([0.25, 0.75], 6)
