@@ -12,12 +12,9 @@ configuration or parse errors.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from typing import Sequence
-
-import numpy as np
 
 from ._version import __version__
 from .formats import (
@@ -144,12 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(write, out: str | None) -> None:
+    """Call ``write(fh)`` on stdout, or on the file ``out``."""
     if out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
 
 
 def _seed_tuple(raw: str) -> tuple[str, ...]:
@@ -173,10 +171,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    rows = build_dump(config)
-    buf = io.StringIO()
-    write_dump(buf, config.meta(), rows, args.format)
-    _emit(buf.getvalue(), args.out)
+    dump = build_dump(config)
+    _emit(lambda fh: write_dump(fh, config.meta(), dump, args.format), args.out)
     return 0
 
 
@@ -186,10 +182,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.input is not None and args.sequence is not None:
         raise ConfigError("metrics takes either --in FILE or --sequence, not both")
     if args.input is not None:
-        meta, rows = read_dump_file(args.input)
-        meta = dict(meta)
+        meta, dump = read_dump_file(args.input)
         meta["source"] = args.input
-        values = dump_values(rows)
+        values = dump_values(dump)
     elif args.sequence is not None:
         config = _config_from_args(args)
         values = dump_values(build_dump(config))
@@ -198,10 +193,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         raise ConfigError("metrics needs either --in FILE or --sequence")
     meta["every"] = str(args.every)
     meta["star_scale"] = args.star_scale
-    series = metric_series(np.asarray(values, dtype=float), every=args.every)
-    buf = io.StringIO()
-    write_report(buf, meta, series, args.format, star_scale=args.star_scale)
-    _emit(buf.getvalue(), args.out)
+    series = metric_series(values, every=args.every)
+    _emit(lambda fh: write_report(fh, meta, series, args.format, star_scale=args.star_scale), args.out)
     return 0
 
 
@@ -250,8 +243,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         used[label] = used.get(label, 0) + 1
         if used[label] > 1:
             label = f"{label}-{used[label]}"
-        values = np.asarray(dump_values(build_dump(config)), dtype=float)
-        series = metric_series(values, metrics=("star",), every=args.every)
+        series = metric_series(dump_values(build_dump(config)), metrics=("star",), every=args.every)
         labeled.append((label, series))
     meta = {
         "artifact": "greedyw2",
@@ -260,9 +252,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "every": str(args.every),
         "series": ";".join(args.series),
     }
-    buf = io.StringIO()
-    write_compare(buf, meta, labeled, args.format)
-    _emit(buf.getvalue(), args.out)
+    _emit(lambda fh: write_compare(fh, meta, labeled, args.format), args.out)
     return 0
 
 
@@ -285,7 +275,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "passed": all(r.passed for r in reports),
         "suites": [r.to_dict() for r in reports],
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"), args.out)
     return 0 if payload["passed"] else 1
 
 

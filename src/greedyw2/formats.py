@@ -1,8 +1,8 @@
 """Run configuration and deterministic file formats.
 
 Every artifact written by the CLI (dump, metrics report, comparison) is a
-table: a metadata dict plus rows of plain cells.  ``write_dump``,
-``write_report`` and ``write_compare`` only build those rows; the one
+table: a metadata dict plus columns of plain cells.  ``write_dump``,
+``write_report`` and ``write_compare`` only gather those columns; the one
 writer, ``write_table``, owns the on-disk layout, so the bytes are a pure
 function of the run configuration: metadata is emitted in a fixed key
 order, floats are serialized with ``repr`` (shortest round-trip form), and
@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterable, NamedTuple, Sequence
+from itertools import repeat
+from operator import truediv
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -126,99 +129,125 @@ class RunConfig:
         return pairs
 
 
-class DumpRow(NamedTuple):
-    """One emitted point: raw candidate form, reduced fraction, float value."""
+class Cells(list):
+    """An optional dump column: its cells up to the last filled one, with
+    ``None`` for an empty cell; rows past the end read ``None``."""
 
-    step: int
-    raw_numerator: int | None
-    raw_denominator: int | None
-    reduced: Fraction | None
-    float_value: float
+    def __getitem__(self, i):
+        try:
+            return list.__getitem__(self, i)
+        except IndexError:
+            return None
 
 
-def build_dump(config: RunConfig) -> list[DumpRow]:
-    """Generate the configured sequence and return its dump rows in step order."""
+@dataclass
+class Dump:
+    """A dump as typed columns, one entry per row in file order: int64
+    ``step`` and float64 ``float_value`` arrays, and ``Cells`` for the raw
+    pair and the reduced fraction."""
+
+    step: array = field(default_factory=lambda: array("q"))
+    raw_numerator: Cells = field(default_factory=Cells)
+    raw_denominator: Cells = field(default_factory=Cells)
+    reduced: Cells = field(default_factory=Cells)
+    float_value: array = field(default_factory=lambda: array("d"))
+
+    def __len__(self) -> int:
+        return len(self.step)
+
+    def append(self, step, num, den, reduced, value) -> None:
+        """Add a block of rows given as five columns of cells, ``None`` for an
+        empty one; ``()`` stands for an optional column empty in every row."""
+        n = len(self.step)
+        self.float_value.extend(value)
+        self.step.extend(step)
+        for column, cells in zip((self.raw_numerator, self.raw_denominator, self.reduced), (num, den, reduced)):
+            if any(v is not None for v in cells):
+                column.extend([None] * (n - len(column)) + list(cells))
+                while column[-1] is None:
+                    column.pop()
+
+
+def build_dump(config: RunConfig) -> Dump:
+    """Generate the configured sequence and return its dump in step order."""
     config.validate()
+    dump, steps = Dump(), range(1, config.count + 1)
     if config.sequence == "kritzinger":
-        return _kritzinger_rows(config)
-    if config.sequence == "vdc":
-        rows = []
-        for k in range(1, config.count + 1):
-            v = van_der_corput(k)
-            rows.append(DumpRow(k, None, None, v, float(v)))
-        return rows
-    if config.sequence == "kronecker":
+        backend = config.parsed_backend
+        seeds = [parse_seed(s, backend) for s in config.seeds]
+        exact = [v if isinstance(v, Fraction) else None for v in seeds]
+        dump.append(steps[: len(seeds)], (), (), exact, map(float, seeds))
+        added = extend(SequenceState(seeds, backend=backend), config.count, tie_rule=config.tie_rule)
+        # The point added at step k is odd/(2k), so 2k is a multiple of its
+        # reduced denominator.
+        dens = [2 * k for k in steps[len(seeds) :]]
+        nums = [v.numerator * (den // v.denominator) for v, den in zip(added, dens)]
+        dump.append(steps[len(seeds) :], nums, dens, added, map(truediv, nums, dens))
+    elif config.sequence == "vdc":
+        reduced = [van_der_corput(k) for k in steps]
+        dump.append(steps, (), (), reduced, map(float, reduced))
+    elif config.sequence == "kronecker":
         alpha = config.parsed_alpha
-        return [
-            DumpRow(k, None, None, None, kronecker(k, alpha)) for k in range(1, config.count + 1)
-        ]
-    stream = uniform_stream(config.count, config.rng_seed, config.generator)
-    return [DumpRow(k, None, None, None, float(v)) for k, v in enumerate(stream, 1)]
+        dump.append(steps, (), (), (), [kronecker(k, alpha) for k in steps])
+    else:
+        dump.append(steps, (), (), (), uniform_stream(config.count, config.rng_seed, config.generator))
+    return dump
 
 
-def _kritzinger_rows(config: RunConfig) -> list[DumpRow]:
-    backend = config.parsed_backend
-    seed_values = [parse_seed(s, backend) for s in config.seeds]
-    rows = []
-    for step, value in enumerate(seed_values, 1):
-        reduced = value if isinstance(value, Fraction) else None
-        rows.append(DumpRow(step, None, None, reduced, float(value)))
-    state = SequenceState(seed_values, backend=backend)
-    added = extend(state, config.count, tie_rule=config.tie_rule)
-    # The point added at step k is odd/(2k), so 2k is a multiple of its
-    # reduced denominator.
-    for step, reduced in enumerate(added, len(rows) + 1):
-        den = 2 * step
-        num = reduced.numerator * (den // reduced.denominator)
-        rows.append(DumpRow(step, num, den, reduced, num / den))
-    return rows
+def dump_values(dump: Dump) -> np.ndarray:
+    """Float values of a dump in emission (step) order, as a float64 array.
 
-
-def dump_values(rows: Sequence[DumpRow]) -> list[float]:
-    """Float values of a dump in emission (step) order."""
-    return [row.float_value for row in sorted(rows, key=lambda r: r.step)]
+    When the steps already ascend this is a view of ``dump.float_value``,
+    which cannot grow while the view is alive."""
+    step, value = np.asarray(dump.step), np.asarray(dump.float_value)
+    return value if (step[1:] >= step[:-1]).all() else value[np.argsort(step, kind="stable")]
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
+_CHUNK_ROWS = 4096  # rows that write_table formats at a time
+
+
+def _plain_cells(column: Sequence, a: int, b: int) -> list:
+    # Python numbers, so that a float prints as its shortest round-trip
+    # repr and json takes it; fractions as 'j/q'.
+    if hasattr(column, "tolist"):
+        return column[a:b].tolist()
+    return [format_rational(v) if isinstance(v, Fraction) else v for v in map(column.__getitem__, range(a, b))]
+
 
 def write_table(
-    fh: IO[str], meta: dict[str, str], columns: Sequence[str], rows: Iterable[tuple], fmt: str
+    fh: IO[str], meta: dict[str, str], names: Sequence[str], columns: Sequence[Sequence], fmt: str
 ) -> None:
-    """Write one artifact: metadata plus rows of plain int/float/str/None cells.
+    """Write one artifact: metadata plus columns of int/float/str/Fraction/None cells.
 
-    CSV is ``# key=value`` lines, the header, then one line per row (floats
-    as ``repr``, ``None`` as an empty cell).  JSON is
-    ``{"meta": ..., "rows": [{column: cell}, ...]}`` with ``indent=2`` and a
+    ``columns`` holds one sequence per name, the first one dense; rows are
+    formatted ``_CHUNK_ROWS`` at a time.  CSV is ``# key=value`` lines, the
+    header, then one line per row (floats as ``repr``, fractions as
+    ``j/q``, ``None`` as an empty cell).  JSON is
+    ``{"meta": ..., "rows": [{name: cell}, ...]}`` with ``indent=2`` and a
     trailing newline.  Any other format raises ``ConfigError``.
     """
-    if fmt == "csv":
-        for key, value in meta.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:  # str of a float is its shortest round-trip repr
-            fh.write(",".join(["" if v is None else str(v) for v in row]) + "\n")
-    elif fmt == "json":
-        records = [dict(zip(columns, row)) for row in rows]
-        fh.write(json.dumps({"meta": meta, "rows": records}, indent=2))
-        fh.write("\n")
-    else:
+    if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
+    count = len(columns[0])
+    head, _, tail = json.dumps({"meta": meta, "rows": []}, indent=2).rpartition("[]")
+    if fmt == "csv":
+        fh.write("".join(f"# {key}={value}\n" for key, value in meta.items()) + ",".join(names) + "\n")
+    for a in range(0, count, _CHUNK_ROWS):
+        rows = zip(*(_plain_cells(c, a, min(a + _CHUNK_ROWS, count)) for c in columns))
+        if fmt == "csv":
+            fh.write("".join(",".join(["" if v is None else str(v) for v in row]) + "\n" for row in rows))
+        else:  # the chunk's records without their brackets, one level deeper
+            text = json.dumps([dict(zip(names, row)) for row in rows], indent=2)
+            fh.write((head + "[" if a == 0 else ",") + text[1:-2].replace("\n", "\n  "))
+    if fmt == "json":
+        fh.write((head + "[]" if count == 0 else "\n  ]") + tail + "\n")
 
 
-def write_dump(fh: IO[str], meta: dict[str, str], rows: Sequence[DumpRow], fmt: str) -> None:
-    table = (
-        (
-            row.step,
-            row.raw_numerator,
-            row.raw_denominator,
-            None if row.reduced is None else format_rational(row.reduced),
-            row.float_value,
-        )
-        for row in rows
-    )
-    write_table(fh, meta, DUMP_COLUMNS, table, fmt)
+def write_dump(fh: IO[str], meta: dict[str, str], dump: Dump, fmt: str) -> None:
+    write_table(fh, meta, DUMP_COLUMNS, [getattr(dump, name) for name in DUMP_COLUMNS], fmt)
 
 
 def _parse_int(cell: str, lineno: int, column: str) -> int:
@@ -228,7 +257,14 @@ def _parse_int(cell: str, lineno: int, column: str) -> int:
         raise DumpParseError(f"line {lineno}: column {column!r} is not an integer: {cell!r}") from None
 
 
-def _parse_row_cells(cells: Sequence[str], lineno: int) -> DumpRow:
+def _fraction(cell: str) -> Fraction:
+    j, _, q = cell.partition("/")
+    return Fraction(int(j), int(q))
+
+
+def _parse_row_cells(cells: Sequence[str], lineno: int) -> tuple:
+    """The one definition of a valid dump row: its (step, raw_numerator,
+    raw_denominator, reduced, float_value), or a line-numbered error."""
     if len(cells) != len(DUMP_COLUMNS):
         raise DumpParseError(
             f"line {lineno}: expected {len(DUMP_COLUMNS)} comma-separated fields, got {len(cells)}"
@@ -244,8 +280,7 @@ def _parse_row_cells(cells: Sequence[str], lineno: int) -> DumpRow:
     reduced: Fraction | None = None
     if reduced_cell:
         try:
-            j, _, q = reduced_cell.partition("/")
-            reduced = Fraction(int(j), int(q))
+            reduced = _fraction(reduced_cell)
         except (ValueError, ZeroDivisionError):
             raise DumpParseError(f"line {lineno}: bad reduced fraction {reduced_cell!r}") from None
     try:
@@ -254,18 +289,43 @@ def _parse_row_cells(cells: Sequence[str], lineno: int) -> DumpRow:
         raise DumpParseError(f"line {lineno}: bad float value {value_cell!r}") from None
     if not 0.0 <= value <= 1.0:
         raise DumpParseError(f"line {lineno}: float value {value!r} is outside [0, 1]")
-    return DumpRow(step, num, den, reduced, value)
+    if not -(2**63) <= step < 2**63:
+        raise DumpParseError(f"line {lineno}: step {step} is outside the int64 range")
+    if den is not None and den < 1:
+        raise DumpParseError(f"line {lineno}: raw denominator {den} is not positive")
+    if None not in (num, reduced) and num * reduced.denominator != den * reduced.numerator:
+        raise DumpParseError(f"line {lineno}: raw form {num}/{den} is not the reduced {reduced_cell}")
+    return step, num, den, reduced, value
 
 
-def read_dump_text(text: str) -> tuple[dict[str, str], list[DumpRow]]:
-    """Parse a dump file (CSV or JSON, auto-detected) into metadata and rows."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _read_dump_json(text)
-    return _read_dump_csv(text)
+def _parse_block(rows: list[str]) -> tuple | None:
+    """The rows' five columns, parsed a column at a time; None when a row
+    fails a check of ``_parse_row_cells`` or an optional column is filled
+    in only some rows."""
+    if set(map(str.count, rows, repeat(","))) != {4}:
+        return None
+    cells = ",".join(rows).split(",")
+    try:
+        step, value = array("q", map(int, cells[0::5])), array("d", map(float, cells[4::5]))
+        num, den, reduced = (  # an empty cell among filled ones fails to parse
+            list(map(parse, cells[k::5])) if any(cells[k::5]) else ()
+            for k, parse in ((1, int), (2, int), (3, _fraction))
+        )
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return None
+    v = np.asarray(value)
+    if ((v >= 0.0) & (v <= 1.0)).all() and len(num) == len(den) and min(den, default=1) >= 1:
+        if not any(a * r.denominator != b * r.numerator for a, b, r in zip(num, den, reduced)):
+            return step, num, den, reduced, value
+    return None
 
 
-def _read_dump_json(text: str) -> tuple[dict[str, str], list[DumpRow]]:
+def read_dump_text(text: str) -> tuple[dict[str, str], Dump]:
+    """Parse a dump file (CSV or JSON, auto-detected) into metadata and columns."""
+    return (_read_dump_json if text.lstrip().startswith("{") else _read_dump_csv)(text)
+
+
+def _read_dump_json(text: str) -> tuple[dict[str, str], Dump]:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -276,7 +336,7 @@ def _read_dump_json(text: str) -> tuple[dict[str, str], list[DumpRow]]:
     if not isinstance(meta, dict):
         raise DumpParseError("line 1: JSON dump 'meta' must be an object")
     rows = []
-    for i, item in enumerate(payload["rows"], 1):
+    for i, item in enumerate(payload.pop("rows"), 1):  # the parsed objects go after the loop
         if not isinstance(item, dict):
             raise DumpParseError(f"row {i}: expected an object")
         cells = [
@@ -285,40 +345,54 @@ def _read_dump_json(text: str) -> tuple[dict[str, str], list[DumpRow]]:
         rows.append(_parse_row_cells(cells, i))
     if not rows:
         raise DumpParseError("line 1: dump contains no rows")
-    return {str(k): str(v) for k, v in meta.items()}, rows
+    dump = Dump()
+    dump.append(*zip(*rows))
+    return {str(k): str(v) for k, v in meta.items()}, dump
 
 
-def _read_dump_csv(text: str) -> tuple[dict[str, str], list[DumpRow]]:
+_BLOCK_CHARS = 1 << 16  # text per block of the CSV reader: a few thousand rows
+
+
+def _read_dump_csv(text: str) -> tuple[dict[str, str], Dump]:
+    """Parse a CSV dump in blocks, each cut right after a newline, so that
+    their lines are those of ``text.splitlines()``.  A block that
+    ``_parse_block`` rejects is parsed again row by row, which raises the
+    first line-numbered error."""
     meta: dict[str, str] = {}
-    rows: list[DumpRow] = []
-    header_seen = False
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            key, sep, value = body.partition("=")
-            if sep:
-                meta[key.strip()] = value
-            continue
-        if not header_seen:
-            if tuple(line.split(",")) != DUMP_COLUMNS:
+    dump, header_seen, lineno, start = Dump(), False, 0, 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        chunk = text[start:end]
+        lines = chunk.splitlines()
+        rows = list(filter(None, map(str.strip, lines)))
+        if "#" in chunk:
+            for key, sep, value in (row[1:].strip().partition("=") for row in rows if row[0] == "#"):
+                if sep:
+                    meta[key.strip()] = value
+            rows = [row for row in rows if row[0] != "#"]
+        linenos = (i for i, line in enumerate(map(str.strip, lines), lineno + 1) if line and line[0] != "#")
+        if rows and not header_seen:
+            i = next(linenos)
+            if tuple(rows[0].split(",")) != DUMP_COLUMNS:
                 raise DumpParseError(
-                    f"line {lineno}: expected header {','.join(DUMP_COLUMNS)!r}, got {line!r}"
+                    f"line {i}: expected header {','.join(DUMP_COLUMNS)!r}, got {rows[0]!r}"
                 )
-            header_seen = True
-            continue
-        rows.append(_parse_row_cells(line.split(","), lineno))
+            header_seen, rows = True, rows[1:]
+        if rows:
+            block = _parse_block(rows)
+            if block is None:
+                block = zip(*map(_parse_row_cells, map(str.split, rows, repeat(",")), linenos))
+            dump.append(*block)
+        start, lineno = end, lineno + len(lines)
     if not header_seen:
         raise DumpParseError("line 1: no dump header found")
-    if not rows:
+    if not len(dump):
         raise DumpParseError("line 1: dump contains no rows")
-    return meta, rows
+    return meta, dump
 
 
-def read_dump_file(path: str) -> tuple[dict[str, str], list[DumpRow]]:
-    with open(path, encoding="utf-8") as fh:
+def read_dump_file(path: str) -> tuple[dict[str, str], Dump]:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     try:
         return read_dump_text(text)
@@ -330,30 +404,24 @@ def read_dump_file(path: str) -> tuple[dict[str, str], list[DumpRow]]:
 # metric reports
 
 
-def _column(series: dict, key: str) -> list[float]:
-    # Plain Python numbers, so that cells print as Python's repr rather than
-    # numpy's scalar formatting; json also rejects numpy integers (hence the
-    # int() on the n columns).
-    return np.asarray(series[key], dtype=np.float64).tolist()
+def _star_ratio(n: np.ndarray, star: np.ndarray) -> list[float | None]:
+    return [star_over_log(k, v) for k, v in zip(n.tolist(), star.tolist())]
 
 
 def write_report(fh: IO[str], meta: dict[str, str], series: dict, fmt: str, star_scale: str = "count") -> None:
-    ns = [int(n) for n in series["n"]]
-    table = (
-        (n, w2, l2, star / n if star_scale == "normalized" else star, maxh, star_over_log(n, star))
-        for n, w2, l2, star, maxh in zip(
-            ns, *(_column(series, key) for key in ("w2", "l2", "star", "maxh"))
-        )
-    )
-    write_table(fh, meta, REPORT_COLUMNS, table, fmt)
+    n = np.asarray(series["n"], dtype=np.int64)
+    w2, l2, star, maxh = (np.asarray(series[key], dtype=np.float64) for key in ("w2", "l2", "star", "maxh"))
+    scaled = star / n if star_scale == "normalized" else star
+    write_table(fh, meta, REPORT_COLUMNS, [n, w2, l2, scaled, maxh, _star_ratio(n, star)], fmt)
 
 
 def write_compare(
     fh: IO[str], meta: dict[str, str], labeled_series: Iterable[tuple[str, dict]], fmt: str
 ) -> None:
-    table = (
-        (label, n, star, star_over_log(n, star))
-        for label, series in labeled_series
-        for n, star in zip([int(n) for n in series["n"]], _column(series, "star"))
-    )
-    write_table(fh, meta, COMPARE_COLUMNS, table, fmt)
+    labels, ns, stars = [], [], []
+    for label, series in labeled_series:
+        ns.append(np.asarray(series["n"], dtype=np.int64))
+        stars.append(np.asarray(series["star"], dtype=np.float64))
+        labels += [label] * len(ns[-1])
+    n, star = np.concatenate(ns), np.concatenate(stars)
+    write_table(fh, meta, COMPARE_COLUMNS, [labels, n, star, _star_ratio(n, star)], fmt)

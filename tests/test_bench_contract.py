@@ -2,7 +2,8 @@
 
 ``bench/checks.py`` judges dumps with ``Backend``, ``SequenceState(...,
 backend=...)`` and ``next_point``; ``bench/tour.py`` wraps ``cli``,
-``formats`` and ``greedy`` attributes and reads ``state.backend.value``.
+``formats`` and ``greedy`` attributes, reads ``state.backend.value`` and
+takes ``len`` of the dump that ``read_dump_file`` returns.
 These tests run that code on small in-process dumps, so a library change
 that breaks the harness fails here.
 """
@@ -51,3 +52,17 @@ def test_tour_wrappers_trace_one_build_dump():
     assert extend.name == "greedy.extend" and extend.parent == build.id
     assert extend.attrs == {"backend": "rational"}
     assert tr.counts["greedy.steps"] == 49
+
+
+def test_tour_wrappers_count_the_rows_read(tmp_path):
+    dump = tmp_path / "u.csv"
+    assert cli.main(["generate", "--sequence", "uniform", "--count", "37", "--out", str(dump)]) == 0
+    tr = tour.Tracer()
+    try:
+        tour.install_wrappers(tr)
+        code = cli.main(["metrics", "--in", str(dump), "--out", str(tmp_path / "m.csv")])
+    finally:
+        tr.close()
+    assert code == 0
+    (read,) = [s for s in tr.spans if s.name == "formats.read_dump_file"]
+    assert read.attrs == {"rows": 37}

@@ -207,6 +207,16 @@ class TestMetrics:
         assert code == 2
         assert "line 3" in err
 
+    def test_dump_with_byte_order_mark(self, capsys, tmp_path):
+        text = "# a=1\nstep,raw_numerator,raw_denominator,reduced,float_value\n1,,,,0.5\n2,,,,0.25\n"
+        (tmp_path / "bom.csv").write_text("\ufeff" + text, encoding="utf-8")
+        (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+        code, with_bom, err = run(capsys, "metrics", "--in", str(tmp_path / "bom.csv"))
+        assert code == 0 and err == ""
+        assert "# a=1\n" in with_bom
+        plain = run(capsys, "metrics", "--in", str(tmp_path / "plain.csv"))[1]
+        assert with_bom == plain.replace("plain.csv", "bom.csv")
+
     def test_json_rows_not_an_array(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"meta": {}, "rows": 5}\n')

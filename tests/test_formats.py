@@ -1,5 +1,7 @@
 import io
 import json
+import tracemalloc
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 
@@ -7,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greedyw2 import formats
 from greedyw2.formats import (
     COMPARE_COLUMNS,
     DUMP_COLUMNS,
+    Dump,
     DumpParseError,
-    DumpRow,
     REPORT_COLUMNS,
     RunConfig,
     build_dump,
@@ -92,20 +95,20 @@ class TestRunConfig:
 
 class TestBuildDump:
     def test_greedy_rational_rows(self):
-        rows = build_dump(kritz_config())
-        assert [r.step for r in rows] == [1, 2, 3, 4, 5]
-        assert rows[0].raw_numerator is None and rows[0].reduced == F(1, 2)
-        assert (rows[1].raw_numerator, rows[1].raw_denominator) == (1, 4)
-        assert rows[1].reduced == F(1, 4)
-        assert rows[1].float_value == 0.25
+        dump = build_dump(kritz_config())
+        assert dump.step.tolist() == [1, 2, 3, 4, 5]
+        assert dump.raw_numerator[0] is None and dump.reduced[0] == F(1, 2)
+        assert (dump.raw_numerator[1], dump.raw_denominator[1]) == (1, 4)
+        assert dump.reduced[1] == F(1, 4)
+        assert dump.float_value[1] == 0.25
 
     def test_greedy_float_rows_have_no_seed_reduction(self):
         cfg = RunConfig(
             sequence="kritzinger", seeds=("inv_pi",), count=2, backend="float"
         )
-        rows = build_dump(cfg)
-        assert rows[0].reduced is None
-        assert rows[1].reduced is not None  # chosen points are exact rationals
+        dump = build_dump(cfg)
+        assert dump.reduced[0] is None
+        assert dump.reduced[1] is not None  # chosen points are exact rationals
 
     @given(
         seeds=st.lists(seed_texts, max_size=6),
@@ -119,60 +122,83 @@ class TestBuildDump:
             seeds=tuple(seeds), count=max(1, len(seeds) + extra), backend=backend,
             tie_rule=tie_rule,
         )
-        rows = build_dump(cfg)
-        assert [r.step for r in rows] == list(range(1, cfg.count + 1))
-        for row in rows[: len(seeds)]:
-            assert row.raw_numerator is None and row.raw_denominator is None
-        for row in rows[len(seeds) :]:
-            assert row.raw_denominator == 2 * row.step
-            assert row.raw_numerator % 2 == 1
-            assert F(row.raw_numerator, row.raw_denominator) == row.reduced
-            assert row.float_value == row.raw_numerator / row.raw_denominator
+        dump = build_dump(cfg)
+        assert dump.step.tolist() == list(range(1, cfg.count + 1))
+        for i in range(len(seeds)):
+            assert dump.raw_numerator[i] is None and dump.raw_denominator[i] is None
+        for i in range(len(seeds), cfg.count):
+            assert dump.raw_denominator[i] == 2 * dump.step[i]
+            assert dump.raw_numerator[i] % 2 == 1
+            assert F(dump.raw_numerator[i], dump.raw_denominator[i]) == dump.reduced[i]
+            assert dump.float_value[i] == dump.raw_numerator[i] / dump.raw_denominator[i]
 
     def test_vdc_rows(self):
-        rows = build_dump(RunConfig(sequence="vdc", count=3, backend="rational"))
-        assert [r.reduced for r in rows] == [F(1, 2), F(1, 4), F(3, 4)]
-        assert all(r.raw_numerator is None for r in rows)
+        dump = build_dump(RunConfig(sequence="vdc", count=3, backend="rational"))
+        assert [dump.reduced[i] for i in range(3)] == [F(1, 2), F(1, 4), F(3, 4)]
+        assert all(dump.raw_numerator[i] is None for i in range(3))
 
     def test_uniform_rows_deterministic(self):
         cfg = RunConfig(sequence="uniform", count=4, rng_seed=5)
         assert build_dump(cfg) == build_dump(cfg)
 
     def test_kronecker_rows_float_only(self):
-        rows = build_dump(RunConfig(sequence="kronecker", count=2))
-        assert all(r.reduced is None for r in rows)
-        assert all(0 < r.float_value < 1 for r in rows)
+        dump = build_dump(RunConfig(sequence="kronecker", count=2))
+        assert all(dump.reduced[i] is None for i in range(2))
+        assert all(0 < v < 1 for v in dump.float_value)
 
     def test_dump_values_sorts_by_step(self):
-        rows = [
-            DumpRow(2, None, None, None, 0.25),
-            DumpRow(1, None, None, None, 0.5),
-        ]
-        assert dump_values(rows) == [0.5, 0.25]
+        dump = Dump(step=array("q", [2, 1]), float_value=array("d", [0.25, 0.5]))
+        assert dump_values(dump).tolist() == [0.5, 0.25]
+
+    def test_dump_values_sort_is_stable(self):
+        dump = Dump(step=array("q", [2, 1, 2, 1]), float_value=array("d", [0.1, 0.2, 0.3, 0.4]))
+        assert dump_values(dump).tolist() == [0.2, 0.4, 0.1, 0.3]
+        ascending = Dump(step=array("q", [1, 1, 2]), float_value=array("d", [0.3, 0.2, 0.1]))
+        assert dump_values(ascending).tolist() == [0.3, 0.2, 0.1]
 
 
 class TestRoundTrip:
     def test_csv(self):
         cfg = kritz_config()
-        rows = build_dump(cfg)
+        dump = build_dump(cfg)
         buf = io.StringIO()
-        write_dump(buf, cfg.meta(), rows, "csv")
+        write_dump(buf, cfg.meta(), dump, "csv")
         text = buf.getvalue()
         assert text.startswith("# artifact=greedyw2\n")
         assert ",".join(DUMP_COLUMNS) in text
         meta, parsed = read_dump_text(text)
         assert meta["sequence"] == "kritzinger"
-        assert parsed == rows
+        assert parsed == dump
 
     def test_json(self):
         cfg = RunConfig(sequence="vdc", count=4, backend="rational")
-        rows = build_dump(cfg)
+        dump = build_dump(cfg)
         buf = io.StringIO()
-        write_dump(buf, cfg.meta(), rows, "json")
+        write_dump(buf, cfg.meta(), dump, "json")
         payload = json.loads(buf.getvalue())
         assert payload["meta"]["sequence"] == "vdc"
         meta, parsed = read_dump_text(buf.getvalue())
-        assert parsed == rows
+        assert parsed == dump
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            kritz_config(seeds=("0", "1", "1/3", "1/3"), count=40),
+            kritz_config(seeds=("half", "inv_pi", "0"), count=40, backend="float"),
+            RunConfig(sequence="vdc", count=40, backend="rational"),
+            RunConfig(sequence="vdc", count=40),
+            RunConfig(sequence="kronecker", count=40),
+            RunConfig(sequence="uniform", count=40, rng_seed=3),
+        ],
+        ids=["kritzinger-rational", "kritzinger-float", "vdc-rational", "vdc-float",
+             "kronecker", "uniform"],
+    )
+    def test_every_sequence_and_backend(self, cfg, fmt):
+        dump = build_dump(cfg)
+        buf = io.StringIO()
+        write_dump(buf, cfg.meta(), dump, fmt)
+        assert read_dump_text(buf.getvalue()) == (cfg.meta(), dump)
 
     def test_deterministic_bytes(self):
         cfg = kritz_config(count=9)
@@ -184,7 +210,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "write",
         [
-            lambda fh: write_dump(fh, {}, [], "yaml"),
+            lambda fh: write_dump(fh, {}, Dump(), "yaml"),
             lambda fh: write_report(
                 fh, {}, {"n": [], "w2": [], "l2": [], "star": [], "maxh": []}, "yaml"
             ),
@@ -242,6 +268,26 @@ class TestDumpParsing:
         with pytest.raises(DumpParseError, match="line"):
             read_dump_text('{"meta": {}, "rows": [\n')
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,1,0,,0.25", "line 2: raw denominator 0 is not positive"),
+            ("2,-1,-4,,0.25", "line 2: raw denominator -4 is not positive"),
+            ("2,1,4,1/2,0.25", "line 2: raw form 1/4 is not the reduced 1/2"),
+            ("9223372036854775808,,,,0.5", "line 2: step 9223372036854775808 is outside the int64 range"),
+            ("-9223372036854775809,,,,0.5", "line 2: step -9223372036854775809 is outside the int64 range"),
+        ],
+    )
+    def test_rejects_impossible_rows(self, row, message):
+        with pytest.raises(DumpParseError, match=f"^{message}$"):
+            read_dump_text(f"{self.HEADER}\n{row}\n")
+
+    def test_accepts_int64_steps_and_partial_exact_forms(self):
+        text = f"{self.HEADER}\n-9223372036854775808,,,,0\n9223372036854775807,2,4,,0.5\n3,,,1/4,0.25\n"
+        _, dump = read_dump_text(text)
+        assert dump.step.tolist() == [-(2**63), 2**63 - 1, 3]
+        assert (dump.raw_numerator[1], dump.raw_denominator[1], dump.reduced[2]) == (2, 4, F(1, 4))
+
     def test_file_reader_prefixes_path(self, tmp_path):
         p = tmp_path / "dump.csv"
         p.write_text(f"{self.HEADER}\n1,,,,bad\n")
@@ -250,9 +296,104 @@ class TestDumpParsing:
 
     def test_meta_lines_parsed(self):
         text = f"# a=1\n# b=two words\n{self.HEADER}\n1,,,,0.5\n"
-        meta, rows = read_dump_text(text)
+        meta, dump = read_dump_text(text)
         assert meta == {"a": "1", "b": "two words"}
-        assert rows[0].float_value == 0.5
+        assert dump.float_value[0] == 0.5
+
+
+def read_rows_reference(text):
+    """The CSV reader one row at a time: every line through ``_parse_row_cells``."""
+    meta, rows, header_seen = {}, [], False
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, sep, value = line[1:].strip().partition("=")
+            if sep:
+                meta[key.strip()] = value
+        elif not header_seen:
+            if tuple(line.split(",")) != DUMP_COLUMNS:
+                raise DumpParseError(
+                    f"line {lineno}: expected header {','.join(DUMP_COLUMNS)!r}, got {line!r}"
+                )
+            header_seen = True
+        else:
+            rows.append(formats._parse_row_cells(line.split(","), lineno))
+    if not header_seen:
+        raise DumpParseError("line 1: no dump header found")
+    if not rows:
+        raise DumpParseError("line 1: dump contains no rows")
+    dump = Dump()
+    dump.append(*zip(*rows))
+    return meta, dump
+
+
+@st.composite
+def rows_with_values(draw):
+    """Mostly valid rows; some have a zero or negative raw denominator, or a
+    reduced fraction that disagrees with the raw pair."""
+    step = draw(st.integers(-3, 12))
+    if draw(st.booleans()):
+        return f"{step},,,,{draw(st.floats(0.0, 1.0))!r}"
+    den = draw(st.integers(1, 16) | st.sampled_from([0, -2]))
+    num = draw(st.integers(0, max(den, 0)))
+    exact = F(num, den) if den > 0 else F(1, 3)
+    reduced = draw(st.sampled_from(["", f"{exact.numerator}/{exact.denominator}", "1/3"]))
+    return f"{step},{num},{den},{reduced},{float(exact)!r}"
+
+
+dump_lines = st.one_of(
+    rows_with_values(),
+    rows_with_values(),
+    rows_with_values().map(lambda row: f"  {row} "),
+    st.sampled_from(["", "   ", "# note", "# k=v", "#x = y "]),
+    st.sampled_from([
+        ",,,,0.5", "x,,,,0.5", "1.5,,,,0.5", "9223372036854775807,,,,0.5",
+        "9223372036854775808,,,,0.5", "-9223372036854775809,,,,0.5",
+        "1,3,,,0.5", "1,,4,,0.5", "1,1,0,,0.5", "1,1,-2,,0.5", "1,1,4,1/2,0.25",
+        "1,,,1/0,0.5", "1,,,x,0.5", "1,,,3,0.5", "1,x,4,,0.5",
+        "1,,,,nan", "1,,,,1.5", "1,,,,-0.25", "1,,,,inf", "1,,,,oops",
+        "1,,,0.5", "1,,,,0.5,", "1",
+    ]),
+)
+
+
+class TestBlockReader:
+    @given(
+        before=st.lists(st.sampled_from(["", "# a=1", "  # b = 2"]), max_size=2),
+        lines=st.lists(dump_lines, max_size=14),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        block=st.sampled_from([3, 40]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_agree_with_row_by_row(self, before, lines, newline, block):
+        text = newline.join([*before, ",".join(DUMP_COLUMNS), *lines]) + newline
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_BLOCK_CHARS", block)
+            try:
+                expected = read_rows_reference(text)
+            except DumpParseError as exc:
+                with pytest.raises(DumpParseError) as got:
+                    read_dump_text(text)
+                assert str(got.value) == str(exc)
+            else:
+                assert read_dump_text(text) == expected
+
+    def test_float_only_dump_reads_in_small_memory(self):
+        rows = 20_000
+        text = f"# source=test\n{','.join(DUMP_COLUMNS)}\n" + "".join(
+            f"{k},,,,{k / (rows + 1)!r}\n" for k in range(1, rows + 1)
+        )
+        tracemalloc.start()
+        try:
+            _, dump = read_dump_text(text)
+            values = dump_values(dump)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == rows
+        assert peak / rows <= 110, f"{peak / rows:.1f} bytes per row"
 
 
 class TestReportWriters:
