@@ -8,11 +8,11 @@ with one row per point, seeds first, in append order.
 """
 
 import argparse
-import io
 import random
 import sys
 
-from greedyw2.greedy import SequenceState, extend
+from greedyw2.formats import write_table
+from greedyw2.greedy import TIE_RULES, SequenceState, extend
 from greedyw2.numeric import Backend, parse_seed, seed_help
 
 
@@ -32,9 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="start from N uniform random points instead of explicit seeds",
     )
     parser.add_argument("--count", type=int, default=1000, help="total points to reach")
-    parser.add_argument(
-        "--tie-rule", choices=("smallest", "largest"), default="smallest"
-    )
+    parser.add_argument("--tie-rule", choices=TIE_RULES, default="smallest")
     parser.add_argument(
         "--rng-seed", type=int, default=0, help="seed for --random-seeds draws"
     )
@@ -58,7 +56,6 @@ def main(argv=None) -> int:
     state = SequenceState(seeds, backend=Backend.FLOAT)
     chosen = extend(state, args.count, args.tie_rule)
 
-    buf = io.StringIO()
     meta = {
         "artifact": "greedyw2-scatter",
         "seeds": seed_desc,
@@ -66,19 +63,19 @@ def main(argv=None) -> int:
         "tie_rule": args.tie_rule,
         "rng_seed": str(args.rng_seed),
     }
-    for key, value in meta.items():
-        buf.write(f"# {key}={value}\n")
-    buf.write("step,relative_step,value,origin\n")
-    values = [float(s) for s in seeds] + [float(c) for c in chosen]
-    for step, value in enumerate(values, start=1):
-        origin = "seed" if step <= len(seeds) else "greedy"
-        buf.write(f"{step},{step / args.count!r},{value!r},{origin}\n")
-
+    steps = range(1, args.count + 1)
+    names = ("step", "relative_step", "value", "origin")
+    columns = (
+        steps,
+        [k / args.count for k in steps],
+        [float(s) for s in seeds] + [float(c) for c in chosen],
+        ["seed"] * len(seeds) + ["greedy"] * len(chosen),
+    )
     if args.out is None:
-        sys.stdout.write(buf.getvalue())
+        write_table(sys.stdout, meta, names, columns, "csv")
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+            write_table(fh, meta, names, columns, "csv")
     return 0
 
 

@@ -236,13 +236,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.every < 1:
         raise ConfigError(f"--every must be >= 1, got {args.every}")
     configs = [_parse_series_spec(spec, args.count) for spec in args.series]
-    labeled = []
-    used: dict[str, int] = {}
+    labeled, taken = [], set()
     for config in configs:
-        label = config.label or config.sequence
-        used[label] = used.get(label, 0) + 1
-        if used[label] > 1:
-            label = f"{label}-{used[label]}"
+        base = label = config.label or config.sequence
+        k = 1
+        while label in taken:  # suffix with the next free -k
+            k += 1
+            label = f"{base}-{k}"
+        taken.add(label)
         series = metric_series(dump_values(build_dump(config)), metrics=("star",), every=args.every)
         labeled.append((label, series))
     meta = {

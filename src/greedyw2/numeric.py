@@ -57,7 +57,9 @@ class Backend(enum.Enum):
 
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
-_DECIMAL_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)$")
+# The exponent is what repr writes for a small float; three digits cover
+# every double and keep Fraction's exact conversion cheap.
+_DECIMAL_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d{1,3})?$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -110,7 +112,8 @@ def parse_seed(spec: str, backend: Backend) -> Fraction | float:
     """Parse one seed literal into a backend value.
 
     Accepts named constants (see :data:`NAMED_SEEDS`), 'j/q' rationals, and
-    decimal literals.  The rational backend rejects named irrational
+    decimal literals with an optional exponent, such as a dumped float's
+    repr ('5e-05').  The rational backend rejects named irrational
     constants outright: they have no exact representation.
     """
     spec = spec.strip()

@@ -2,14 +2,17 @@
 
 Nothing here shares formulas with the analytic implementations: objectives
 are evaluated from their defining integrals or by dense grid scans, so
-agreement between the two routes is evidence, not tautology.  Functions
-with known interior breakpoints (counting functions, quantile maps) are
-integrated segment by segment so composite rules never straddle a jump.
+agreement between the two routes is evidence, not tautology.  Each oracle
+takes a plain int ``resolution``, the number of uniform cells over [0, 1];
+a value below 2 raises ``DomainError``.  Functions with known interior
+breakpoints (counting functions, quantile maps) are integrated segment by
+segment, so a cell never straddles a jump.  The quadrature is composite
+Simpson on vectorized integrands (float64 array in, array of the same
+shape out), exact on the piecewise-quadratic defining integrands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -18,12 +21,9 @@ from .numeric import DomainError
 
 __all__ = [
     "ARGMIN_RESOLUTION",
-    "GridSpec",
     "QUADRATURE_RESOLUTION",
     "grid_argmin_w2",
-    "grid_max_abs",
     "grid_max_abs_h",
-    "quadrature",
     "quadrature_split",
     "w2_defining_integral",
     "l2_defining_integral",
@@ -34,92 +34,48 @@ ARGMIN_RESOLUTION = 10**6
 #: Default cell count for quadrature oracles.
 QUADRATURE_RESOLUTION = 10**4
 
-_RULES = ("midpoint", "trapezoid", "simpson")
+
+def _check_resolution(resolution: int) -> None:
+    if resolution < 2:
+        raise DomainError(f"resolution must be >= 2, got {resolution}")
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid over [0,1]: ``resolution`` cells and a composite rule."""
+def _segments(breaks: Iterable[float], resolution: int) -> list[tuple[float, float, int]]:
+    """(a, b, cells) for the segments of [0, 1] cut at the breaks inside it.
 
-    resolution: int = QUADRATURE_RESOLUTION
-    rule: str = "midpoint"
-
-    def __post_init__(self):
-        if self.resolution < 2:
-            raise DomainError(f"resolution must be >= 2, got {self.resolution}")
-        if self.rule not in _RULES:
-            raise DomainError(f"unknown rule {self.rule!r}; expected one of {_RULES}")
+    Cells go to segments in proportion to their length, at least one each.
+    """
+    _check_resolution(resolution)
+    edges = sorted({0.0, 1.0} | {float(b) for b in breaks if 0.0 < float(b) < 1.0})
+    return [(a, b, max(1, round(resolution * (b - a)))) for a, b in zip(edges, edges[1:])]
 
 
-def _eval(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f on a node array, vectorized when f supports it."""
-    try:
-        ys = np.asarray(f(xs), dtype=np.float64)
-        if ys.shape == xs.shape:
-            return ys
-    except (TypeError, ValueError):
-        pass
-    return np.fromiter((float(f(float(x))) for x in xs), dtype=np.float64, count=xs.size)
-
-
-def _composite(f: Callable, a: float, b: float, cells: int, rule: str) -> float:
+def _simpson(f: Callable, a: float, b: float, cells: int) -> float:
     edges = np.linspace(a, b, cells + 1)
     h = (b - a) / cells
-    if rule == "midpoint":
-        return h * float(_eval(f, (edges[:-1] + edges[1:]) / 2.0).sum())
     # The integrand may jump exactly at the interval endpoints (they are the
-    # split points), so edge-using rules evaluate them as one-sided limits.
+    # split points), so the end nodes are evaluated as one-sided limits.
     nodes = edges.copy()
     nodes[0] = np.nextafter(a, b)
     nodes[-1] = np.nextafter(b, a)
-    if rule == "trapezoid":
-        ys = _eval(f, nodes)
-        return h * float(ys[1:-1].sum() + 0.5 * (ys[0] + ys[-1]))
-    ye = _eval(f, nodes)
-    ym = _eval(f, (edges[:-1] + edges[1:]) / 2.0)
+    ye = f(nodes)
+    ym = f((edges[:-1] + edges[1:]) / 2.0)
     return (h / 6.0) * float((ye[:-1] + 4.0 * ym + ye[1:]).sum())
 
 
-def quadrature(f: Callable, grid: GridSpec | None = None) -> float:
-    """Composite midpoint/trapezoid/simpson estimate of int_0^1 f."""
-    grid = grid or GridSpec()
-    return _composite(f, 0.0, 1.0, grid.resolution, grid.rule)
-
-
 def quadrature_split(
-    f: Callable, breaks: Iterable[float], grid: GridSpec | None = None
+    f: Callable, breaks: Iterable[float], resolution: int = QUADRATURE_RESOLUTION
 ) -> float:
-    """Composite quadrature with segments split at known breakpoints.
-
-    Cells are allocated to segments in proportion to their length (at least
-    one each), so jump discontinuities at the breakpoints never fall inside
-    a cell.
-    """
-    grid = grid or GridSpec()
-    edges = sorted({0.0, 1.0} | {float(b) for b in breaks if 0.0 < float(b) < 1.0})
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        cells = max(1, round(grid.resolution * (b - a)))
-        total += _composite(f, a, b, cells, grid.rule)
-    return total
+    """Composite Simpson estimate of int_0^1 f, split at known breakpoints."""
+    return sum(_simpson(f, a, b, cells) for a, b, cells in _segments(breaks, resolution))
 
 
-def grid_max_abs(f: Callable, grid: GridSpec | None = None) -> float:
-    """max |f| over the resolution+1 uniform nodes of [0,1]."""
-    grid = grid or GridSpec()
-    xs = np.linspace(0.0, 1.0, grid.resolution + 1)
-    return float(np.abs(_eval(f, xs)).max())
-
-
-def _float_points(points) -> np.ndarray:
-    if hasattr(points, "points"):  # a SequenceState
-        points = points.points
+def _float_points(points: Sequence) -> np.ndarray:
     return np.asarray([float(p) for p in points], dtype=np.float64)
 
 
-def w2_defining_integral(points: Sequence, grid: GridSpec | None = None) -> float:
+def w2_defining_integral(points: Sequence, resolution: int = QUADRATURE_RESOLUTION) -> float:
     """Quadrature of sum_i int_{(i-1)/n}^{i/n} (x - x_i)^2 dx for sorted points."""
-    grid = grid or GridSpec()
     x = _float_points(points)
     n = x.size
     if n == 0:
@@ -132,12 +88,11 @@ def w2_defining_integral(points: Sequence, grid: GridSpec | None = None) -> floa
         idx = np.searchsorted(breaks, t, side="right")
         return (t - x[idx]) ** 2
 
-    return quadrature_split(integrand, breaks, grid)
+    return quadrature_split(integrand, breaks, resolution)
 
 
-def l2_defining_integral(points: Sequence, grid: GridSpec | None = None) -> float:
+def l2_defining_integral(points: Sequence, resolution: int = QUADRATURE_RESOLUTION) -> float:
     """Quadrature of int_0^1 (#{x_k <= t} - n t)^2 dt for sorted points."""
-    grid = grid or GridSpec()
     x = _float_points(points)
     n = x.size
     if n == 0:
@@ -146,26 +101,21 @@ def l2_defining_integral(points: Sequence, grid: GridSpec | None = None) -> floa
     def integrand(t: np.ndarray) -> np.ndarray:
         return (np.searchsorted(x, t, side="right") - n * t) ** 2
 
-    return quadrature_split(integrand, x, grid)
+    return quadrature_split(integrand, x, resolution)
 
 
-def grid_max_abs_h(points: Sequence, grid: GridSpec | None = None) -> float:
+def grid_max_abs_h(points: Sequence, resolution: int = ARGMIN_RESOLUTION) -> float:
     """Grid estimate of sup |int_0^t g| by cumulative per-segment midpoint sums.
 
     g is evaluated pointwise through the counting function; segments are cut
     at the data points, where the midpoint rule integrates the in-segment
     linear part of g without error.
     """
-    grid = grid or GridSpec(resolution=ARGMIN_RESOLUTION)
     x = _float_points(points)
     n = x.size
-    if n == 0:
-        return 0.0
-    edges = sorted({0.0, 1.0} | {float(v) for v in x if 0.0 < float(v) < 1.0})
     best = 0.0
     h_acc = 0.0
-    for a, b in zip(edges, edges[1:]):
-        cells = max(1, round(grid.resolution * (b - a)))
+    for a, b, cells in _segments(x, resolution):
         nodes = np.linspace(a, b, cells + 1)
         mids = (nodes[:-1] + nodes[1:]) / 2.0
         g_mid = np.searchsorted(x, mids, side="right") - n * mids
@@ -175,29 +125,26 @@ def grid_max_abs_h(points: Sequence, grid: GridSpec | None = None) -> float:
     return best
 
 
-def grid_argmin_w2(state_or_points, grid: GridSpec | None = None) -> float:
+def grid_argmin_w2(points: Sequence, resolution: int = ARGMIN_RESOLUTION) -> float:
     """Grid point minimizing W2^2 of the augmented empirical measure.
 
     For each node t the candidate set is the sorted insertion of t into the
-    points, and W2^2 comes from the expanded defining integral
+    sorted points, and W2^2 comes from the expanded defining integral
 
         1/3 + (sum x^2 + t^2)/m - (sum_k (2k-1) y_k)/m^2,   m = n+1,
 
     with the rank weights re-read off the insertion position.  Ties resolve
     to the smallest node.
     """
-    grid = grid or GridSpec(resolution=ARGMIN_RESOLUTION)
-    x = _float_points(state_or_points)
+    _check_resolution(resolution)
+    x = _float_points(points)
     n = x.size
     m = n + 1
-    t = np.linspace(0.0, 1.0, grid.resolution + 1)
+    t = np.linspace(0.0, 1.0, resolution + 1)
     j = np.searchsorted(x, t, side="left")
-    k = np.arange(1, n + 1)
-    odd = np.dot(2 * k - 1, x) if n else 0.0
-    suffix = np.zeros(n + 1)
-    if n:
-        suffix[:-1] = np.cumsum(x[::-1])[::-1]
-    s2 = float(np.dot(x, x)) if n else 0.0
+    odd = np.dot(2 * np.arange(1, n + 1) - 1, x)
+    suffix = np.concatenate((np.cumsum(x[::-1])[::-1], [0.0]))
+    s2 = float(np.dot(x, x))
     w2 = (
         1.0 / 3.0
         + (s2 + t * t) / m

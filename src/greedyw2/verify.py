@@ -4,7 +4,8 @@ Each suite re-checks one claim at a configurable budget and reports named
 checks with signed margins (nonnegative means pass, and the value is the
 distance to failure).  The suites only combine public operations from the
 other modules, pairing independent evaluation routes wherever a claim has
-two sides.
+two sides.  The two L^2 suites, ``kritzinger_bound`` and ``prop2``, check
+the same three random-seed runs.
 """
 
 from __future__ import annotations
@@ -95,10 +96,19 @@ def l2_series_fsum(values) -> np.ndarray:
     return out
 
 
-def _random_seed_run(rng: random.Random, count: int, max_seeds: int = 50):
-    n0 = rng.randint(0, min(max_seeds, count - 1))  # leave at least one greedy step
-    seeds = [rng.random() for _ in range(n0)]
-    return seeds, greedy_values(seeds, count)
+def _l2_runs(budget: int, seed: int):
+    """The three random-seed runs that the two L^2 suites share.
+
+    Yields ``(r, n0, l2)``: the run index, the number n0 of uniform float
+    seeds (at most 50, and below the budget so that every run takes a
+    greedy step), and the ``l2_series_fsum`` of the run extended to the
+    budget.
+    """
+    rng = random.Random(seed)
+    for r in range(3):
+        n0 = rng.randint(0, min(50, budget - 1))
+        seeds = [rng.random() for _ in range(n0)]
+        yield r, n0, l2_series_fsum(greedy_values(seeds, budget))
 
 
 # -- suites ---------------------------------------------------------------
@@ -146,18 +156,14 @@ def suite_theorem1(budget: int = 200, seed: int = 0) -> list[CheckResult]:
     ]
 
 
-def suite_kritzinger_bound(budget: int = 2000, seed: int = 0, runs: int = 3) -> list[CheckResult]:
-    """int g_n^2 <= n/3 + c with c = max(0, int g_{n0}^2 - n0/3)."""
-    rng = random.Random(seed)
+def suite_kritzinger_bound(budget: int = 2000, seed: int = 0) -> list[CheckResult]:
+    """int g_n^2 <= n/3 + c with c = max(0, int g_{n0}^2 - n0/3), on the
+    greedy steps of three runs from n0 random seeds."""
     checks = []
-    for r in range(runs):
-        seeds, values = _random_seed_run(rng, budget)
-        n0 = len(seeds)
-        l2 = l2_series_fsum(values)
+    for r, n0, l2 in _l2_runs(budget, seed):
         c = max(0.0, l2[n0 - 1] - n0 / 3.0) if n0 else 0.0
-        ns = np.arange(1, budget + 1)
-        slack = ns / 3.0 + c - l2
-        margin = float(slack[n0:].min()) if n0 < budget else float(slack.min())
+        slack = np.arange(1, budget + 1) / 3.0 + c - l2
+        margin = float(slack[n0:].min())
         checks.append(
             CheckResult(
                 name=f"bound_run_{r}",
@@ -169,15 +175,12 @@ def suite_kritzinger_bound(budget: int = 2000, seed: int = 0, runs: int = 3) -> 
     return checks
 
 
-def suite_prop2(budget: int = 2000, seed: int = 0, runs: int = 3) -> list[CheckResult]:
-    """Each greedy step raises int g^2 by at most 1/3."""
-    rng = random.Random(seed)
+def suite_prop2(budget: int = 2000, seed: int = 0) -> list[CheckResult]:
+    """Each greedy step raises int g^2 by at most 1/3, on the greedy steps
+    of the same three runs as ``suite_kritzinger_bound``."""
     checks = []
-    for r in range(runs):
-        seeds, values = _random_seed_run(rng, budget)
-        n0 = max(len(seeds), 1)
-        l2 = l2_series_fsum(values)
-        inc = np.diff(l2[n0 - 1 :]) if len(seeds) else np.diff(np.concatenate(([0.0], l2)))
+    for r, n0, l2 in _l2_runs(budget, seed):
+        inc = np.diff(np.concatenate(([0.0], l2))[n0:])  # int g_0^2 = 0
         margin = float(1.0 / 3.0 - inc.max())
         checks.append(
             CheckResult(
@@ -267,36 +270,24 @@ def suite_theorem2_windows(budget: int = 10000, seed: int = 0) -> list[CheckResu
 
 
 def suite_oracle_equiv(
-    budget: int = 100,
-    seed: int = 0,
-    quad_resolution: int = oracle.QUADRATURE_RESOLUTION,
-    argmin_resolution: int = oracle.ARGMIN_RESOLUTION,
+    budget: int = 100, seed: int = 0, argmin_resolution: int = oracle.ARGMIN_RESOLUTION
 ) -> list[CheckResult]:
-    """Closed forms versus defining-integral quadrature and grid scans."""
+    """Closed forms versus defining-integral quadrature and grid scans.
+
+    The quadrature oracles run at their default resolution and max|H| at
+    1e5 cells; ``argmin_resolution`` sets the grid of the dense argmin.
+    """
     rng = random.Random(seed)
-    # Simpson integrates the piecewise-quadratic defining integrands exactly
-    # once the cells are split at the breakpoints; midpoint would leave an
-    # O(n^2 / resolution^2) bias that swamps the 1e-6 tolerance near n = 50.
-    grid = oracle.GridSpec(resolution=quad_resolution, rule="simpson")
     worst = 0.0
     for _ in range(budget):
         n = rng.randint(1, 50)
         pts = sorted(rng.random() for _ in range(n))
         worst = max(
             worst,
-            abs(metrics.w2_squared(pts) - oracle.w2_defining_integral(pts, grid)),
-            abs(
-                metrics.l2_discrepancy_squared(pts)
-                - oracle.l2_defining_integral(pts, grid)
-            ),
-            abs(
-                float(metrics.max_abs_H(pts))
-                - oracle.grid_max_abs_h(
-                    pts, oracle.GridSpec(resolution=max(quad_resolution, 10**5))
-                )
-            ),
+            abs(metrics.w2_squared(pts) - oracle.w2_defining_integral(pts)),
+            abs(metrics.l2_discrepancy_squared(pts) - oracle.l2_defining_integral(pts)),
+            abs(float(metrics.max_abs_H(pts)) - oracle.grid_max_abs_h(pts, 10**5)),
         )
-    argmin_grid = oracle.GridSpec(resolution=argmin_resolution)
     cell = 1.0 / argmin_resolution
     worst_gap = 0.0
     worst_beat = 0.0
@@ -305,7 +296,7 @@ def suite_oracle_equiv(
         state = SequenceState(
             sorted(rng.random() for _ in range(n)), backend=Backend.FLOAT
         )
-        grid_min = oracle.grid_argmin_w2(state, argmin_grid)
+        grid_min = oracle.grid_argmin_w2(state.points, argmin_resolution)
         # The argmin is a set when candidates tie exactly, so measure the
         # distance from the grid minimizer to the nearest tied candidate.
         evals = enumerate_candidates(state)

@@ -154,7 +154,6 @@ def test_criterion_06_integrated_deviation_windows():
 def test_criterion_07_candidate_argmin_matches_dense_grid():
     rng = random.Random(7)
     resolution = 10**6
-    grid = oracle.GridSpec(resolution=resolution)
     cell = 1.0 / resolution
     worst_gap = 0.0
     for _ in range(50):
@@ -162,7 +161,7 @@ def test_criterion_07_candidate_argmin_matches_dense_grid():
         state = SequenceState(
             sorted(rng.random() for _ in range(n)), backend=Backend.FLOAT
         )
-        grid_min = oracle.grid_argmin_w2(state, grid)
+        grid_min = oracle.grid_argmin_w2(state.points, resolution)
         evals = enumerate_candidates(state)
         best = min(c.f_value for c in evals)
         tied = [float(c.value) for c in evals if c.f_value == best]
@@ -177,22 +176,20 @@ def test_criterion_07_candidate_argmin_matches_dense_grid():
 
 def test_criterion_08_closed_forms_match_quadrature_oracles():
     rng = random.Random(8)
-    quad = oracle.GridSpec(resolution=oracle.QUADRATURE_RESOLUTION, rule="simpson")
-    maxh_grid = oracle.GridSpec(resolution=10**5)
     worst = 0.0
     for _ in range(100):
         n = rng.randint(1, 50)
         pts = sorted(rng.random() for _ in range(n))
         worst = max(
             worst,
-            abs(metrics.w2_squared(pts) - oracle.w2_defining_integral(pts, quad)),
+            abs(metrics.w2_squared(pts) - oracle.w2_defining_integral(pts)),
             abs(
                 metrics.l2_discrepancy_squared(pts)
-                - oracle.l2_defining_integral(pts, quad)
+                - oracle.l2_defining_integral(pts)
             ),
             abs(
                 float(metrics.max_abs_H(pts))
-                - oracle.grid_max_abs_h(pts, maxh_grid)
+                - oracle.grid_max_abs_h(pts, 10**5)
             ),
         )
     assert worst <= 1e-6

@@ -320,20 +320,18 @@ class TestCompare:
         assert code == 2 and "two" in err
 
     def test_duplicate_labels_get_suffix(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "compare",
-            "--series",
-            "uniform:rng_seed=1",
-            "--series",
-            "uniform:rng_seed=2",
-            "--count",
-            "5",
-        )
-        assert code == 0
-        data = [l for l in out.splitlines() if l and not l.startswith("#")]
-        labels = {row.split(",")[0] for row in data[1:]}
-        assert labels == {"uniform", "uniform-2"}
+        cases = [
+            (["uniform:rng_seed=1", "uniform:rng_seed=2"], ["uniform", "uniform-2"]),
+            # the suffix skips a label that is already taken
+            (["vdc:label=a", "vdc:label=a-2", "vdc:label=a"], ["a", "a-2", "a-3"]),
+        ]
+        for specs, expected in cases:
+            argv = [arg for spec in specs for arg in ("--series", spec)]
+            code, out, _ = run(capsys, "compare", *argv, "--count", "5")
+            assert code == 0
+            data = [l for l in out.splitlines() if l and not l.startswith("#")]
+            labels = [row.split(",")[0] for row in data[1:]]
+            assert list(dict.fromkeys(labels)) == expected
 
     def test_explicit_label(self, capsys):
         code, out, _ = run(
@@ -530,6 +528,21 @@ class TestGoldenBytes:
                 (*_COMPARE_DUP, "--format", "json"),
                 "3fc62e349959f43adfafe1c1128e79cc49bb26f37134e21bc03987c1256cf5be",
                 id="compare-json",
+            ),
+            pytest.param(
+                ("verify", "--suite", "prop2", "--budget", "300"),
+                "0cb4b1db2714985c953fc5b1f3e7a7e3017e4e75dc586beed3381ffa6e83e7a3",
+                id="verify-prop2",
+            ),
+            pytest.param(
+                ("verify", "--suite", "kritzinger_bound", "--budget", "300"),
+                "970adb52a3fcedff50167bc08b048e611505730c8f5e62e46946a95668896810",
+                id="verify-kritzinger-bound",
+            ),
+            pytest.param(
+                ("verify", "--suite", "oracle_equiv", "--budget", "10"),
+                "db585f81dd7a64bbcb26a481f435a73782dbdbb213ad641f4c47d108b20a1256",
+                id="verify-oracle-equiv",
             ),
         ],
     )

@@ -81,14 +81,22 @@ class TestParseSeed:
         assert parse_seed("0.25", Backend.RATIONAL) == Fraction(1, 4)
         assert parse_seed(".5", Backend.FLOAT) == 0.5
 
-    @pytest.mark.parametrize("bad", ["5/4", "-1/2", "1.5"])
+    def test_exponent_literal_reads_a_dumped_float(self):
+        assert parse_seed("5e-05", Backend.RATIONAL) == Fraction(1, 20000)
+        assert parse_seed("5e-05", Backend.FLOAT) == 5e-05
+        assert parse_seed("5.0638039295118495e-05", Backend.FLOAT) == 5.0638039295118495e-05
+        assert parse_seed("1e0", Backend.RATIONAL) == 1
+
+    @pytest.mark.parametrize("bad", ["5/4", "-1/2", "1.5", "1e1"])
     def test_out_of_range(self, bad):
         with pytest.raises(DomainError):
             parse_seed(bad, Backend.RATIONAL)
 
     def test_garbage(self):
-        with pytest.raises(ConfigError):
-            parse_seed("one half", Backend.FLOAT)
+        # An exponent of four digits could ask Fraction for a huge power of ten.
+        for bad in ("one half", "1e-1000"):
+            with pytest.raises(ConfigError):
+                parse_seed(bad, Backend.FLOAT)
 
     def test_help_covers_all_names(self):
         text = seed_help()
