@@ -16,6 +16,7 @@ import json
 import sys
 
 from greedyw2.lemma import lemma_sweep
+from greedyw2.numeric import DomainError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,12 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--value-bound", type=int, default=10, help="bound on |g| at grid nodes"
     )
     parser.add_argument(
-        "--float",
-        dest="exact",
-        action="store_false",
-        help="evaluate in float64 instead of exact rationals",
-    )
-    parser.add_argument(
         "--no-records",
         action="store_true",
         help="drop the per-trial log and keep only the summary",
@@ -45,16 +40,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.trials < 1:
-        print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
+    try:
+        result = lemma_sweep(
+            trials=args.trials,
+            seed=args.seed,
+            max_pieces=args.max_pieces,
+            value_bound=args.value_bound,
+        )
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = lemma_sweep(
-        trials=args.trials,
-        seed=args.seed,
-        max_pieces=args.max_pieces,
-        value_bound=args.value_bound,
-        exact=args.exact,
-    )
     # A negative margin only disproves the bound when the function satisfies
     # its continuity hypothesis; discontinuous near-misses are logged but
     # not failures.

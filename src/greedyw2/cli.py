@@ -264,6 +264,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         names = list(SUITES)
     else:
         names = [args.suite]
+    if args.grid_resolution is not None and "oracle_equiv" not in names:
+        raise ConfigError("--grid-resolution applies only to the oracle_equiv suite")
     reports = []
     for name in names:
         kwargs = {}

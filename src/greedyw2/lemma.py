@@ -19,9 +19,10 @@ Everything here works on piecewise-linear g represented by strictly
 increasing breakpoints 0 = b_0 < ... < b_K = 1 and per-piece (slope,
 intercept) pairs; continuity across breakpoints is not required (G stays
 continuous regardless, which is all the derivations use, so the bounds are
-exercised on discontinuous g as well).  With Fraction data every operation
-is exact: G is piecewise quadratic, so its extrema sit at breakpoints or at
-interior zeros of g, a finite candidate set.
+exercised on discontinuous g as well).  All data are Fractions (a float
+entry raises ``DomainError``) and every operation is exact: G is piecewise
+quadratic, so its extrema sit at breakpoints or at interior zeros of g, a
+finite candidate set.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -46,26 +48,29 @@ __all__ = [
 ]
 
 
-def _exact_data(values: Iterable) -> bool:
-    return all(is_rational_scalar(v) for v in values)
+def _fraction(value) -> Fraction:
+    if not is_rational_scalar(value):
+        raise DomainError(f"piecewise data must be int or Fraction, got {value!r}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
 class PiecewiseFunction:
-    """Piecewise-linear function on [0,1].
+    """Piecewise-linear function on [0,1], held exactly.
 
     ``breakpoints`` are strictly increasing from 0 to 1; piece i takes the
-    value slope*x + intercept on (b_i, b_{i+1}).  Construction normalizes
-    the data to a single backend: all Fractions when every entry is
-    rational, all floats otherwise.
+    value slope*x + intercept on (b_i, b_{i+1}).  Entries must be ints or
+    Fractions and are held as Fractions; any other entry, a float or a bool,
+    raises ``DomainError`` (pass ``Fraction(x)`` for a float x).  G's
+    breakpoint values, extrema and mean are computed once, on first use.
     """
 
     breakpoints: tuple
     pieces: tuple
 
     def __post_init__(self):
-        breaks = tuple(self.breakpoints)
-        pieces = tuple((s, t) for s, t in self.pieces)
+        breaks = tuple(_fraction(b) for b in self.breakpoints)
+        pieces = tuple((_fraction(s), _fraction(t)) for s, t in self.pieces)
         if len(breaks) < 2 or len(pieces) != len(breaks) - 1:
             raise DomainError(
                 f"{len(breaks)} breakpoints need {max(len(breaks) - 1, 1)} pieces, "
@@ -76,13 +81,6 @@ class PiecewiseFunction:
         for a, b in zip(breaks, breaks[1:]):
             if not a < b:
                 raise DomainError("breakpoints must be strictly increasing")
-        flat = list(breaks) + [v for p in pieces for v in p]
-        if _exact_data(flat):
-            breaks = tuple(Fraction(b) for b in breaks)
-            pieces = tuple((Fraction(s), Fraction(t)) for s, t in pieces)
-        else:
-            breaks = tuple(float(b) for b in breaks)
-            pieces = tuple((float(s), float(t)) for s, t in pieces)
         object.__setattr__(self, "breakpoints", breaks)
         object.__setattr__(self, "pieces", pieces)
 
@@ -119,21 +117,17 @@ class PiecewiseFunction:
 
     # -- structure -------------------------------------------------------
 
-    @property
-    def exact(self) -> bool:
-        return not isinstance(self.breakpoints[0], float)
+    def _segments(self):
+        """(a, b, slope, intercept) for each piece on [a, b]."""
+        b = self.breakpoints
+        return ((b[i], b[i + 1], s, t) for i, (s, t) in enumerate(self.pieces))
 
     def is_zero(self) -> bool:
         return all(s == 0 and t == 0 for s, t in self.pieces)
 
     def is_continuous(self) -> bool:
-        for i in range(len(self.pieces) - 1):
-            b = self.breakpoints[i + 1]
-            s0, t0 = self.pieces[i]
-            s1, t1 = self.pieces[i + 1]
-            if s0 * b + t0 != s1 * b + t1:
-                return False
-        return True
+        inner = zip(self.breakpoints[1:], self.pieces, self.pieces[1:])
+        return all(s0 * b + t0 == s1 * b + t1 for b, (s0, t0), (s1, t1) in inner)
 
     def _piece_index(self, x) -> int:
         i = bisect.bisect_right(self.breakpoints, x) - 1
@@ -148,92 +142,74 @@ class PiecewiseFunction:
 
     # -- exact integrals ---------------------------------------------------
 
-    def integral(self):
-        """int_0^1 g."""
-        acc = None
-        for (a, b), (s, t) in zip(
-            zip(self.breakpoints, self.breakpoints[1:]), self.pieces
-        ):
-            term = s * (b * b - a * a) / 2 + t * (b - a)
-            acc = term if acc is None else acc + term
-        return acc
-
-    def integral_sq(self):
-        """int_0^1 g^2 (the squared L2 norm)."""
-        acc = None
-        for (a, b), (s, t) in zip(
-            zip(self.breakpoints, self.breakpoints[1:]), self.pieces
-        ):
-            term = (
-                s * s * (b * b * b - a * a * a) / 3
-                + s * t * (b * b - a * a)
-                + t * t * (b - a)
-            )
-            acc = term if acc is None else acc + term
-        return acc
-
-    def _g_breaks(self) -> list:
+    @cached_property
+    def _g_breaks(self) -> tuple:
         """Antiderivative G at every breakpoint, G(0) = 0."""
-        zero = Fraction(0) if self.exact else 0.0
-        out = [zero]
-        for (a, b), (s, t) in zip(
-            zip(self.breakpoints, self.breakpoints[1:]), self.pieces
-        ):
+        out = [Fraction(0)]
+        for a, b, s, t in self._segments():
             out.append(out[-1] + s * (b * b - a * a) / 2 + t * (b - a))
-        return out
+        return tuple(out)
+
+    @cached_property
+    def _g_mean(self) -> Fraction:
+        total = Fraction(0)
+        for g_a, (a, b, s, t) in zip(self._g_breaks, self._segments()):
+            length = b - a
+            total += (
+                g_a * length
+                + s * ((b * b * b - a * a * a) / 3 - a * a * length) / 2
+                + t * length * length / 2
+            )
+        return total
+
+    @cached_property
+    def _g_extrema(self) -> tuple:
+        # G is piecewise quadratic: its extrema lie at breakpoints or at
+        # interior zeros of g (vertex x = -t/s of a piece).
+        lo, hi = min(self._g_breaks), max(self._g_breaks)
+        for g_a, (a, b, s, t) in zip(self._g_breaks, self._segments()):
+            if s == 0:
+                continue
+            x0 = -t / s
+            if a < x0 < b:
+                v = g_a + s * (x0 * x0 - a * a) / 2 + t * (x0 - a)
+                lo = min(lo, v)
+                hi = max(hi, v)
+        return lo, hi
+
+    def integral(self) -> Fraction:
+        """int_0^1 g = G(1)."""
+        return self._g_breaks[-1]
+
+    def integral_sq(self) -> Fraction:
+        """int_0^1 g^2 (the squared L2 norm)."""
+        return sum(
+            (
+                s * s * (b * b * b - a * a * a) / 3 + s * t * (b * b - a * a) + t * t * (b - a)
+                for a, b, s, t in self._segments()
+            ),
+            Fraction(0),
+        )
 
     def antiderivative(self, z):
         """G(z) = int_0^z g."""
         if not 0 <= z <= 1:
             raise DomainError(f"argument {z!r} lies outside [0, 1]")
-        gb = self._g_breaks()
         i = self._piece_index(z)
         a = self.breakpoints[i]
         s, t = self.pieces[i]
-        return gb[i] + s * (z * z - a * a) / 2 + t * (z - a)
+        return self._g_breaks[i] + s * (z * z - a * a) / 2 + t * (z - a)
 
-    def antiderivative_mean(self):
+    def antiderivative_mean(self) -> Fraction:
         """int_0^1 G."""
-        gb = self._g_breaks()
-        acc = None
-        for i, ((a, b), (s, t)) in enumerate(
-            zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces)
-        ):
-            length = b - a
-            term = (
-                gb[i] * length
-                + s * ((b * b * b - a * a * a) / 3 - a * a * length) / 2
-                + t * length * length / 2
-            )
-            acc = term if acc is None else acc + term
-        return acc
+        return self._g_mean
 
     def antiderivative_extrema(self) -> tuple:
-        """(min G, max G) over [0,1], exact for Fraction data.
+        """(min G, max G) over [0,1], exact."""
+        return self._g_extrema
 
-        G is piecewise quadratic; its extrema lie at breakpoints or at
-        interior zeros of g (vertex x = -t/s of a piece), so scanning that
-        candidate set is exhaustive.
-        """
-        gb = self._g_breaks()
-        lo = hi = gb[0]
-        for v in gb[1:]:
-            lo = min(lo, v)
-            hi = max(hi, v)
-        for i, ((a, b), (s, t)) in enumerate(
-            zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces)
-        ):
-            if s == 0:
-                continue
-            x0 = -t / s
-            if a < x0 < b:
-                v = gb[i] + s * (x0 * x0 - a * a) / 2 + t * (x0 - a)
-                lo = min(lo, v)
-                hi = max(hi, v)
-        return lo, hi
-
-    def max_abs_antiderivative(self):
-        lo, hi = self.antiderivative_extrema()
+    def max_abs_antiderivative(self) -> Fraction:
+        lo, hi = self._g_extrema
         return max(abs(lo), abs(hi))
 
 
@@ -258,35 +234,25 @@ def lemma_rhs(g: PiecewiseFunction):
 def basic_lemma_identity(g: PiecewiseFunction, z) -> tuple:
     """Both evaluation routes for L(z): direct integrals and G(z) - mean G.
 
-    Returns (direct, via_antiderivative); the pair agrees exactly over
-    Fractions and to roundoff over floats, which is the executable form of
-    the integration-by-parts identity.
+    Returns (direct, via_antiderivative); the pair agrees exactly, which is
+    the executable form of the integration-by-parts identity.
     """
     if not 0 <= z <= 1:
         raise DomainError(f"argument {z!r} lies outside [0, 1]")
-    direct = None
-
-    def add(term):
-        nonlocal direct
-        direct = term if direct is None else direct + term
-
-    for (a, b), (s, t) in zip(zip(g.breakpoints, g.breakpoints[1:]), g.pieces):
+    direct = Fraction(0)
+    for a, b, s, t in g._segments():
         # int g(x) x dx over [a, min(b, z)]
         hi = min(b, z)
         if a < hi:
-            add(s * (hi * hi * hi - a * a * a) / 3 + t * (hi * hi - a * a) / 2)
+            direct += s * (hi * hi * hi - a * a * a) / 3 + t * (hi * hi - a * a) / 2
         # -int g(x) (1-x) dx over [max(a, z), b]
         lo = max(a, z)
         if lo < b:
-            add(
-                -(
-                    -s * (b * b * b - lo * lo * lo) / 3
-                    + (s - t) * (b * b - lo * lo) / 2
-                    + t * (b - lo)
-                )
+            direct -= (
+                -s * (b * b * b - lo * lo * lo) / 3
+                + (s - t) * (b * b - lo * lo) / 2
+                + t * (b - lo)
             )
-    if direct is None:  # z clipped every piece away; cannot happen on [0,1]
-        direct = Fraction(0) if g.exact else 0.0
     return direct, g.antiderivative(z) - g.antiderivative_mean()
 
 
@@ -331,37 +297,33 @@ def random_piecewise(
     max_pieces: int = 64,
     value_bound: int = 10,
     kind: str = "mixed",
-    exact: bool = True,
 ) -> PiecewiseFunction:
     """Random piecewise function with values in [-value_bound, value_bound].
 
     Kinds: 'constant' (step function), 'linear' (independent endpoint values
     per piece, generally discontinuous), 'continuous' (shared node values),
-    or 'mixed' to pick one at random.  Exact mode keeps breakpoints on a
-    dyadic grid and values rational so downstream checks stay exact.
+    or 'mixed' to pick one at random.  Breakpoints lie on a dyadic grid of
+    4096 cells and values on multiples of 1/64.  Needs 1 <= max_pieces <=
+    4096 and value_bound >= 1, so that a nonzero draw exists.
     """
+    if not 1 <= max_pieces <= _BREAK_GRID:
+        raise DomainError(f"max_pieces must lie in [1, {_BREAK_GRID}], got {max_pieces}")
+    if value_bound < 1:
+        raise DomainError(f"value_bound must be >= 1, got {value_bound}")
     if kind == "mixed":
         kind = rng.choice(("constant", "linear", "continuous"))
     npieces = rng.randint(1, max_pieces)
     cuts = sorted(rng.sample(range(1, _BREAK_GRID), npieces - 1))
-    if exact:
-        breaks = (
-            [Fraction(0)]
-            + [Fraction(c, _BREAK_GRID) for c in cuts]
-            + [Fraction(1)]
-        )
-    else:
-        breaks = [0.0] + [c / _BREAK_GRID for c in cuts] + [1.0]
+    breaks = [Fraction(0)] + [Fraction(c, _BREAK_GRID) for c in cuts] + [Fraction(1)]
 
     span = value_bound * _VALUE_GRID
 
     def rand_value():
-        v = rng.randint(-span, span)
-        return Fraction(v, _VALUE_GRID) if exact else v / _VALUE_GRID
+        return Fraction(rng.randint(-span, span), _VALUE_GRID)
 
     while True:
         if kind == "constant":
-            pieces = [(Fraction(0) if exact else 0.0, rand_value()) for _ in range(npieces)]
+            pieces = [(Fraction(0), rand_value()) for _ in range(npieces)]
         elif kind == "continuous":
             nodes = [rand_value() for _ in range(npieces + 1)]
             pieces = []
@@ -383,7 +345,6 @@ def lemma_sweep(
     seed: int = 0,
     max_pieces: int = 64,
     value_bound: int = 10,
-    exact: bool = True,
 ) -> dict:
     """Adversarial random search against the cubic bound.
 
@@ -391,15 +352,15 @@ def lemma_sweep(
     negative margin on continuous g is a hard failure, while one on
     discontinuous g would fall outside the bound's stated hypothesis and is
     reported separately (none are expected either way, since only the
-    continuity of G enters the derivation).
+    continuity of G enters the derivation).  Needs trials >= 1.
     """
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
     records = []
-    min_margin = None
-    min_ratio = None
     outside = 0
     for trial in range(trials):
-        g = random_piecewise(rng, max_pieces=max_pieces, value_bound=value_bound, exact=exact)
+        g = random_piecewise(rng, max_pieces=max_pieces, value_bound=value_bound)
         lhs = lemma_lhs(g)
         rhs = lemma_rhs(g)
         margin = lhs - rhs
@@ -418,16 +379,12 @@ def lemma_sweep(
                 "ratio": float(ratio),
             }
         )
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-        if min_ratio is None or ratio < min_ratio:
-            min_ratio = ratio
+    # float() rounds monotonically, so these are the exact minima rounded once.
     return {
         "seed": seed,
         "trials": trials,
-        "exact": exact,
-        "min_margin": float(min_margin),
-        "min_ratio": float(min_ratio),
+        "min_margin": min(r["margin"] for r in records),
+        "min_ratio": min(r["ratio"] for r in records),
         "outside_hypothesis_violations": outside,
         "records": records,
     }

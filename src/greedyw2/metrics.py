@@ -122,9 +122,8 @@ def max_abs_H(points: Iterable) -> Fraction | float:
     H is piecewise quadratic, so its extrema lie at breakpoints or at
     interior zeros of g; ``lemma.PiecewiseFunction`` scans that finite set.
     The points must be sorted and lie in [0, 1]; an empty set gives 0.
-    They are converted to Fractions first (PiecewiseFunction computes in
-    floats on float data), and the exact maximum is rounded once for float
-    input.
+    They are converted to Fractions first (PiecewiseFunction rejects
+    floats), and the exact maximum is rounded once for float input.
     """
     pts = _validated(points, allow_empty=True)
     exact = PiecewiseFunction.from_counting_deviation([Fraction(p) for p in pts])

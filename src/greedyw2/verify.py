@@ -227,7 +227,7 @@ def suite_cn_zero(budget: int = 100, seed: int = 0, max_n: int = 200) -> list[Ch
 
 def suite_main_lemma(budget: int = 1000, seed: int = 0) -> list[CheckResult]:
     """Randomized adversarial search against the cubic lower bound."""
-    sweep = lemma.lemma_sweep(trials=budget, seed=seed, exact=True)
+    sweep = lemma.lemma_sweep(trials=budget, seed=seed)
     return [
         CheckResult(
             name="cubic_bound",

@@ -127,7 +127,7 @@ def test_criterion_04_l2_equals_n_squared_w2_exactly():
 
 
 def test_criterion_05_cubic_bound_and_sharpness():
-    sweep = lemma_sweep(trials=1000, seed=0, exact=True)
+    sweep = lemma_sweep(trials=1000, seed=0)
     assert sweep["min_margin"] >= -1e-12
     assert sweep["outside_hypothesis_violations"] == 0
     rows = sharpness_scan([F(1, 4), F(1, 100), F(1, 1000)])

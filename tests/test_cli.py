@@ -428,6 +428,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--budget", "50")
         assert code == 2 and "--suite" in err
 
+    def test_grid_resolution_without_oracle_suite_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--suite", "prop2", "--grid-resolution", "5", "--budget", "50"
+        )
+        assert code == 2 and out == ""
+        assert "--grid-resolution" in err and "oracle_equiv" in err
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
@@ -543,6 +550,11 @@ class TestGoldenBytes:
                 ("verify", "--suite", "oracle_equiv", "--budget", "10"),
                 "db585f81dd7a64bbcb26a481f435a73782dbdbb213ad641f4c47d108b20a1256",
                 id="verify-oracle-equiv",
+            ),
+            pytest.param(
+                ("verify", "--suite", "main_lemma", "--budget", "40"),
+                "3919639f8706a139bb6f0485a4d379571dcbd31601988fcaedccc68046ad9992",
+                id="verify-main-lemma",
             ),
         ],
     )

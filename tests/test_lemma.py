@@ -48,13 +48,19 @@ class TestConstruction:
 
     def test_integer_data_becomes_exact(self):
         g = PiecewiseFunction((0, 1), ((1, 0),))
-        assert g.exact
         assert isinstance(g.pieces[0][0], Fraction)
 
-    def test_any_float_demotes_to_float(self):
-        g = PiecewiseFunction((0, 0.5, 1), ((0, 1), (0, 2)))
-        assert not g.exact
-        assert isinstance(g.breakpoints[1], float)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: PiecewiseFunction((0, 0.5, 1), ((0, 1), (0, 2))), id="breakpoint"),
+            pytest.param(lambda: PiecewiseFunction((0, 1), ((0.5, 0),)), id="slope"),
+            pytest.param(lambda: PiecewiseFunction.indicator(0.25), id="indicator"),
+        ],
+    )
+    def test_float_data_rejected(self, build):
+        with pytest.raises(DomainError, match="got 0.(5|25)"):
+            build()
 
     def test_indicator_validates_eps(self):
         with pytest.raises(DomainError):
@@ -210,16 +216,11 @@ class TestRandomPiecewise:
         g = random_piecewise(random.Random(4), kind="constant")
         assert all(s == 0 for s, _ in g.pieces)
 
-    def test_float_mode(self):
-        g = random_piecewise(random.Random(5), exact=False)
-        assert not g.exact
-
 
 class TestSweep:
     def test_exact_sweep_clean(self):
         rep = lemma_sweep(trials=80, seed=2)
         assert rep["trials"] == 80
-        assert rep["exact"] is True
         assert rep["min_margin"] >= 0
         # Random search reaches ratios below the indicator family's 8
         # (7.12 at this seed) but never at or below 1, which would break
@@ -228,6 +229,16 @@ class TestSweep:
         assert rep["outside_hypothesis_violations"] == 0
         assert len(rep["records"]) == 80
 
-    def test_float_sweep_within_tolerance(self):
-        rep = lemma_sweep(trials=40, seed=3, exact=False)
-        assert rep["min_margin"] >= -1e-12
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"max_pieces": 0}, id="no-pieces"),
+            pytest.param({"max_pieces": 4097}, id="pieces-above-grid"),
+            pytest.param({"value_bound": 0}, id="zero-bound"),
+            pytest.param({"value_bound": -3}, id="negative-bound"),
+            pytest.param({"trials": 0}, id="no-trials"),
+        ],
+    )
+    def test_bad_sweep_arguments_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            lemma_sweep(**{"trials": 3, **kwargs})

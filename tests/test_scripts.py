@@ -27,3 +27,26 @@ def test_scatter_data_digest(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_lemma_ratio_search_digest(capsys):
+    main = runpy.run_path(str(SCRIPTS / "lemma_ratio_search.py"))["main"]
+    assert main(["--trials", "20", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    digest = "eee0bcabdd68248ad5d7cc5a12a623ef57d41b5e969dbc05bc5da0d2b08cd772"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["--trials", "3", "--value-bound", "0"], id="value-bound-0"),
+        pytest.param(["--trials", "0"], id="trials-0"),
+    ],
+)
+def test_lemma_ratio_search_reports_bad_arguments(capsys, argv):
+    main = runpy.run_path(str(SCRIPTS / "lemma_ratio_search.py"))["main"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
