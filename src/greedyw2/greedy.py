@@ -123,6 +123,7 @@ from .numeric import (
     DomainError,
     is_float_scalar,
     is_rational_scalar,
+    unit_rational,
 )
 
 __all__ = [
@@ -172,12 +173,12 @@ class SequenceState:
     values, converted once), the float deviation sums D^_0..D^_n the greedy
     kernel filters with, and the bound ``eps`` on their rounding error (see
     the module docstring).  Each insertion updates D^ and ``eps`` in place.
-    The backend fixes only the scalar type of what the state hands out; a
-    float state's points are the doubles nearest the exact ones.  The point
-    added at step k (the state then holds k points) is (2m+1)/(2k) for its
-    rank m, so its raw form follows from its value and step and is not
-    stored.  Every evaluation computes on the exact points and converts its
-    result to the backend's scalar type once, at the return.
+    The backend fixes only the scalar type of the seeds the state takes and
+    of its ``points``; a float state's points are the doubles nearest the
+    exact ones.  The point added at step k (the state then holds k points)
+    is (2m+1)/(2k) for its rank m, so its raw form follows from its value
+    and step and is not stored.  Every functional evaluates on the exact
+    points and returns an exact Fraction in either backend.
     """
 
     # _dev holds D^ in its first n+1 entries; _tmp and _mask are scratch;
@@ -204,7 +205,7 @@ class SequenceState:
         rational = backend is Backend.RATIONAL
         vals = []
         for s in seeds:
-            v = _unit_scalar(backend, s, "seed")
+            v = _unit_scalar(backend, s)
             # a float state seeds from the nearest double
             vals.append(Fraction(v if rational else float(v)))
         self._pts = sorted(vals)
@@ -266,10 +267,6 @@ class SequenceState:
             f"seeds={self.seed_count}, chosen={self.n - self.seed_count})"
         )
 
-    def _scalar(self, value: Fraction) -> Fraction | float:
-        """An exact value in the backend's scalar type."""
-        return value if self.backend is Backend.RATIONAL else float(value)
-
     def _insert_candidate(self, m: int) -> Fraction:
         """Insert candidate m of the current step, which is feasible (m points
         lie below it), and update D^ and ``eps`` as the module docstring
@@ -291,27 +288,28 @@ class SequenceState:
         return value
 
 
-def _unit_scalar(backend: Backend, x, what: str):
-    """``x`` unchanged after two checks: it is a rational, or a float on a
-    float backend (else ``BackendMismatch``), and it lies in [0, 1] (else
-    ``DomainError``); ``what`` names it in the messages."""
+def _unit_scalar(backend: Backend, x):
+    """Seed ``x`` unchanged after two checks: it is a rational, or a float on
+    a float backend (else ``BackendMismatch``), and it lies in [0, 1] (else
+    ``DomainError``)."""
     if not (is_rational_scalar(x) or (backend is Backend.FLOAT and is_float_scalar(x))):
-        raise BackendMismatch(f"{backend.value}-backend state got {type(x).__name__} {what} {x!r}")
+        raise BackendMismatch(f"{backend.value}-backend state got {type(x).__name__} seed {x!r}")
     if not 0 <= x <= 1:  # NaN fails too
-        raise DomainError(f"{what} {x!r} lies outside [0, 1]")
+        raise DomainError(f"seed {x!r} lies outside [0, 1]")
     return x
 
 
-def kritzinger_f(state: SequenceState, x) -> Fraction | float:
-    """Evaluate F(x) = (n+1)x^2 - x - 2 sum_k max(x, x_k).
+def kritzinger_f(state: SequenceState, x) -> Fraction:
+    """Evaluate F(x) = (n+1)x^2 - x - 2 sum_k max(x, x_k) for an int or
+    Fraction x in [0, 1].
 
     Points equal to x contribute x to the max-sum either way, so the split
     into #(points below x) and a suffix sum over points >= x is exact.
     """
-    x = Fraction(_unit_scalar(state.backend, x, "argument"))
+    x = unit_rational(x)
     pts = state.exact_points
     i = bisect.bisect_left(pts, x)
-    return state._scalar((state.n + 1) * x * x - x - 2 * (x * i + sum(pts[i:])))
+    return (state.n + 1) * x * x - x - 2 * (x * i + sum(pts[i:]))
 
 
 def enumerate_candidates(state: SequenceState) -> list[CandidateEvaluation]:
@@ -419,8 +417,9 @@ def next_point(state: SequenceState, tie_rule: str = "smallest") -> Fraction:
     return state._insert_candidate(_argmin(state, tie_rule))
 
 
-def e_functional(state: SequenceState, z) -> Fraction | float:
-    """Evaluate E(z) = -2 int_0^z g x dx + 2 int_z^1 g (1-x) dx exactly.
+def e_functional(state: SequenceState, z) -> Fraction:
+    """Evaluate E(z) = -2 int_0^z g x dx + 2 int_z^1 g (1-x) dx exactly, for
+    an int or Fraction z in [0, 1].
 
     Integrating the step structure of g_n termwise gives the closed form
 
@@ -430,13 +429,13 @@ def e_functional(state: SequenceState, z) -> Fraction | float:
     used here with prefix/suffix splits at z (points equal to z contribute
     identically to either side).
     """
-    z = Fraction(_unit_scalar(state.backend, z, "argument"))
+    z = unit_rational(z)
     n = state.n
     pts = state.exact_points
     j = bisect.bisect_right(pts, z)
     a = sum(p * p for p in pts[:j])
     b = sum((1 - p) * (1 - p) for p in pts[j:])
-    return state._scalar(-j * z * z + a + j * (1 - z) * (1 - z) + b + n * z * z - Fraction(n, 3))
+    return -j * z * z + a + j * (1 - z) * (1 - z) + b + n * z * z - Fraction(n, 3)
 
 
 def next_point_via_e(state: SequenceState, tie_rule: str = "smallest") -> Fraction:

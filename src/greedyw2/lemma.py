@@ -20,9 +20,10 @@ increasing breakpoints 0 = b_0 < ... < b_K = 1 and per-piece (slope,
 intercept) pairs; continuity across breakpoints is not required (G stays
 continuous regardless, which is all the derivations use, so the bounds are
 exercised on discontinuous g as well).  All data are Fractions (a float
-entry raises ``DomainError``) and every operation is exact: G is piecewise
-quadratic, so its extrema sit at breakpoints or at interior zeros of g, a
-finite candidate set.
+entry raises ``DomainError``), evaluation points must be ints or Fractions
+in [0, 1] too, and every operation is exact: G is piecewise quadratic, so
+its extrema sit at breakpoints or at interior zeros of g, a finite
+candidate set.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .numeric import DomainError, is_rational_scalar
+from .numeric import DomainError, is_rational_scalar, unit_rational
 
 __all__ = [
     "PiecewiseFunction",
@@ -92,9 +93,10 @@ class PiecewiseFunction:
 
     @classmethod
     def indicator(cls, eps) -> "PiecewiseFunction":
-        """Characteristic function of [0, eps] for 0 < eps <= 1."""
-        if not 0 < eps <= 1:
-            raise DomainError(f"eps must lie in (0, 1], got {eps!r}")
+        """Characteristic function of [0, eps] for an int or Fraction
+        0 < eps <= 1."""
+        if unit_rational(eps, "eps") == 0:
+            raise DomainError("eps must lie in (0, 1], got 0")
         if eps == 1:
             return cls.constant(1)
         return cls((0, eps, 1), ((0, 1), (0, 0)))
@@ -102,12 +104,10 @@ class PiecewiseFunction:
     @classmethod
     def from_counting_deviation(cls, points: Sequence) -> "PiecewiseFunction":
         """g(x) = #{k : x_k <= x} - n x for a sorted multiset in [0,1]."""
-        pts = list(points)
+        pts = [unit_rational(p, "point") for p in points]
         n = len(pts)
         breaks = [0]
         for p in pts:
-            if not 0 <= p <= 1:
-                raise DomainError(f"point {p!r} lies outside [0, 1]")
             if p != breaks[-1]:
                 breaks.append(p)
         if breaks[-1] != 1:
@@ -135,8 +135,7 @@ class PiecewiseFunction:
 
     def eval(self, x):
         """Value at x, using the right-hand piece at interior breakpoints."""
-        if not 0 <= x <= 1:
-            raise DomainError(f"argument {x!r} lies outside [0, 1]")
+        x = unit_rational(x)
         s, t = self.pieces[self._piece_index(x)]
         return s * x + t
 
@@ -193,8 +192,7 @@ class PiecewiseFunction:
 
     def antiderivative(self, z):
         """G(z) = int_0^z g."""
-        if not 0 <= z <= 1:
-            raise DomainError(f"argument {z!r} lies outside [0, 1]")
+        z = unit_rational(z)
         i = self._piece_index(z)
         a = self.breakpoints[i]
         s, t = self.pieces[i]
@@ -237,8 +235,7 @@ def basic_lemma_identity(g: PiecewiseFunction, z) -> tuple:
     Returns (direct, via_antiderivative); the pair agrees exactly, which is
     the executable form of the integration-by-parts identity.
     """
-    if not 0 <= z <= 1:
-        raise DomainError(f"argument {z!r} lies outside [0, 1]")
+    z = unit_rational(z)
     direct = Fraction(0)
     for a, b, s, t in g._segments():
         # int g(x) x dx over [a, min(b, z)]

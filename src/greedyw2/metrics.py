@@ -16,9 +16,9 @@ g_n(x) = #{k : x_k <= x} - n x the module computes, in closed form:
 The two quadratic functionals coincide after scaling,
 int g_n^2 = n^2 W2^2, because sum (2k-1)^2 = n(4n^2-1)/3 makes every
 point-independent term cancel; the test suite re-derives this before any
-code relies on it.  W2^2, int g^2 and max|H| are computed exactly on the
-points (a float is an exact binary fraction) and rounded once to float when
-the input holds floats; exact input gives exact Fractions.
+code relies on it.  Every closed form takes ints and Fractions only and
+returns an exact Fraction; a float point raises DomainError, so pass
+``Fraction(x)`` (exact, since a double is a binary fraction).
 
 ``metric_series`` is the batch float path over every prefix of a sequence.
 Each row reads all four columns from a few shared arrays: the deviations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .greedy import SequenceState, e_functional
 from .lemma import PiecewiseFunction
-from .numeric import Backend, DomainError, is_rational_scalar
+from .numeric import DomainError, unit_rational
 
 __all__ = [
     "DiscrepancyReport",
@@ -57,48 +57,37 @@ __all__ = [
 ]
 
 
-def _validated(points: Iterable, allow_empty: bool = False) -> list:
-    pts = list(points)
+def _validated(points: Iterable, allow_empty: bool = False) -> list[Fraction]:
+    pts = [unit_rational(p, "point") for p in points]
     if not pts and not allow_empty:
         raise DomainError("point set must not be empty")
-    prev = None
-    for p in pts:
-        if not 0 <= p <= 1:
-            raise DomainError(f"point {p!r} lies outside [0, 1]")
-        if prev is not None and p < prev:
-            raise DomainError("points must be sorted ascending")
-        prev = p
+    if any(b < a for a, b in zip(pts, pts[1:])):
+        raise DomainError("points must be sorted ascending")
     return pts
 
 
-def _like(points: Sequence, value: Fraction) -> Fraction | float:
-    """The exact value as a Fraction for exact points, else rounded to float."""
-    return value if all(is_rational_scalar(p) for p in points) else float(value)
-
-
-def w2_squared(points: Iterable) -> Fraction | float:
+def w2_squared(points: Iterable) -> Fraction:
     """Squared W2 distance between the empirical measure of sorted points
     and Lebesgue measure on [0,1].
 
     Expands sum_i int_{(i-1)/n}^{i/n} (x - x_i)^2 dx exactly.
     """
-    pts = _validated(points)
-    n = len(pts)
-    x = [Fraction(p) for p in pts]
+    x = _validated(points)
+    n = len(x)
     s2 = sum(p * p for p in x)
     s1 = sum((2 * k - 1) * p for k, p in enumerate(x, 1))
-    return _like(pts, (Fraction(n * n, 3) + n * s2 - s1) / (n * n))
+    return (Fraction(n * n, 3) + n * s2 - s1) / (n * n)
 
 
-def l2_discrepancy_squared(points: Iterable) -> Fraction | float:
+def l2_discrepancy_squared(points: Iterable) -> Fraction:
     """int_0^1 (f_n(x) - nx)^2 dx for the sorted multiset (count scale)."""
     pts = _validated(points)
     n = len(pts)
-    acc = sum((Fraction(p) - Fraction(2 * k - 1, 2 * n)) ** 2 for k, p in enumerate(pts, 1))
-    return _like(pts, n * acc + Fraction(1, 12))
+    acc = sum((p - Fraction(2 * k - 1, 2 * n)) ** 2 for k, p in enumerate(pts, 1))
+    return n * acc + Fraction(1, 12)
 
 
-def star_discrepancy(points: Iterable) -> Fraction | float:
+def star_discrepancy(points: Iterable) -> Fraction:
     """sup_x |f_n(x) - nx| on the count scale (not divided by n).
 
     The supremum of the piecewise-linear deviation is attained against one
@@ -116,37 +105,32 @@ def star_discrepancy(points: Iterable) -> Fraction | float:
     return best
 
 
-def max_abs_H(points: Iterable) -> Fraction | float:
+def max_abs_H(points: Iterable) -> Fraction:
     """sup_x |H(x)| with H(x) = int_0^x g, computed exactly.
 
     H is piecewise quadratic, so its extrema lie at breakpoints or at
     interior zeros of g; ``lemma.PiecewiseFunction`` scans that finite set.
     The points must be sorted and lie in [0, 1]; an empty set gives 0.
-    They are converted to Fractions first (PiecewiseFunction rejects
-    floats), and the exact maximum is rounded once for float input.
     """
     pts = _validated(points, allow_empty=True)
-    exact = PiecewiseFunction.from_counting_deviation([Fraction(p) for p in pts])
-    return _like(pts, exact.max_abs_antiderivative())
+    return PiecewiseFunction.from_counting_deviation(pts).max_abs_antiderivative()
 
 
-def step_identity_check(state: SequenceState, chosen) -> Fraction | float:
+def step_identity_check(state: SequenceState, chosen) -> Fraction:
     """Residual of the one-step update identity for int g^2.
 
     Adding a point at z to a state with deviation g_n must satisfy
     int g_{n+1}^2 = int g_n^2 + E(z) + (z^3 + (1-z)^3)/3.  Returns
     int g_{n+1}^2 minus the right-hand side, computed exactly on the state's
-    exact points and returned in the backend's scalar type.  ``chosen`` may
-    be the exact fraction returned by the greedy step even for float states.
+    exact points in either backend.  ``chosen`` is an int or a Fraction in
+    [0, 1], such as the exact value a greedy step returns.
     """
-    exact = SequenceState(state.exact_points, backend=Backend.RATIONAL)
-    z = Fraction(chosen)
-    pts = exact.points
+    z = unit_rational(chosen, "chosen point")
+    pts = state.exact_points
     l2_old = l2_discrepancy_squared(pts) if pts else 0
     l2_new = l2_discrepancy_squared(sorted(pts + [z]))
     w = 1 - z
-    residual = l2_new - (l2_old + e_functional(exact, z) + (z**3 + w**3) / 3)
-    return state._scalar(residual)
+    return l2_new - (l2_old + e_functional(state, z) + (z**3 + w**3) / 3)
 
 
 @dataclass(frozen=True)
@@ -154,10 +138,10 @@ class DiscrepancyReport:
     """Bundle of the four regularity metrics for one point count."""
 
     n: int
-    w2_squared: Fraction | float
-    l2_disc_squared: Fraction | float
-    star_disc: Fraction | float
-    max_abs_h: Fraction | float
+    w2_squared: Fraction
+    l2_disc_squared: Fraction
+    star_disc: Fraction
+    max_abs_h: Fraction
 
     @property
     def star_over_log(self) -> float | None:
@@ -173,7 +157,7 @@ def star_over_log(n: int, star) -> float | None:
 
 
 def report(points: Iterable) -> DiscrepancyReport:
-    """One-shot report for a sorted multiset, exact when the points are."""
+    """One-shot exact report for a sorted multiset."""
     pts = _validated(points)
     return DiscrepancyReport(
         n=len(pts),

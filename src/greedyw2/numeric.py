@@ -1,11 +1,12 @@
-"""Scalar backends: exact rationals and 64-bit floats behind one contract.
+"""Scalars: exact rationals in every functional, 64-bit floats at the edges.
 
-Every quantity in this package lives in one of two backends, fixed per run:
-exact ``fractions.Fraction`` values (arbitrary precision, always reduced,
-positive denominator) or IEEE-754 doubles.  Values of the two are never
-mixed in one public operation.  The greedy engine and every evaluation
-route compute on exact values in both backends, so the backend fixes only
-the scalar type of the values they take and hand out.
+The library functionals (metrics, greedy functionals, the lemma lab) take
+ints and ``fractions.Fraction`` values only and return Fractions, checked by
+:func:`unit_rational`; for a float x pass ``Fraction(x)``, which is exact.
+Floats enter only as float-backend seeds and as points of the batch float
+routes (``metrics.metric_series``, the oracles).  The greedy engine computes
+exactly in both backends, so a backend fixes only the scalar type of a run's
+seeds and of the points it hands out.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "parse_rational",
     "parse_seed",
     "seed_help",
+    "unit_rational",
 ]
 
 
@@ -89,6 +91,16 @@ def is_float_scalar(x: object) -> bool:
     return isinstance(x, float)
 
 
+def unit_rational(x: object, what: str = "argument") -> Fraction:
+    """``x`` as a Fraction once it is checked to be an int or a Fraction (not
+    a float or a bool) in [0, 1], else ``DomainError`` naming it ``what``."""
+    if not is_rational_scalar(x):
+        raise DomainError(f"{what} must be int or Fraction, got {x!r}")
+    if not 0 <= x <= 1:
+        raise DomainError(f"{what} {x!r} lies outside [0, 1]")
+    return Fraction(x)
+
+
 #: Named seed constants accepted by the CLI and the seed parser.  Each maps
 #: to (exact value or None, maximum-precision float value).
 NAMED_SEEDS: dict[str, tuple[Fraction | None, float]] = {
@@ -108,8 +120,8 @@ def seed_help() -> str:
     return "\n".join(lines)
 
 
-def parse_seed(spec: str, backend: Backend) -> Fraction | float:
-    """Parse one seed literal into a backend value.
+def parse_seed(spec: str, backend: Backend):
+    """Parse one seed literal into a Fraction, or a float on the float backend.
 
     Accepts named constants (see :data:`NAMED_SEEDS`), 'j/q' rationals, and
     decimal literals with an optional exponent, such as a dumped float's

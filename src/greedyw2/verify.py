@@ -274,6 +274,7 @@ def suite_oracle_equiv(
 ) -> list[CheckResult]:
     """Closed forms versus defining-integral quadrature and grid scans.
 
+    Each closed form is exact and rounded once to meet the float oracles.
     The quadrature oracles run at their default resolution and max|H| at
     1e5 cells; ``argmin_resolution`` sets the grid of the dense argmin.
     """
@@ -281,11 +282,11 @@ def suite_oracle_equiv(
     worst = 0.0
     for _ in range(budget):
         n = rng.randint(1, 50)
-        pts = sorted(rng.random() for _ in range(n))
+        pts = sorted(Fraction(rng.random()) for _ in range(n))
         worst = max(
             worst,
-            abs(metrics.w2_squared(pts) - oracle.w2_defining_integral(pts)),
-            abs(metrics.l2_discrepancy_squared(pts) - oracle.l2_defining_integral(pts)),
+            abs(float(metrics.w2_squared(pts)) - oracle.w2_defining_integral(pts)),
+            abs(float(metrics.l2_discrepancy_squared(pts)) - oracle.l2_defining_integral(pts)),
             abs(float(metrics.max_abs_H(pts)) - oracle.grid_max_abs_h(pts, 10**5)),
         )
     cell = 1.0 / argmin_resolution
@@ -303,10 +304,10 @@ def suite_oracle_equiv(
         best = min(c.f_value for c in evals)
         tied = [float(c.value) for c in evals if c.f_value == best]
         worst_gap = max(worst_gap, min(abs(grid_min - t) for t in tied))
-        chosen = float(next_point(state.copy()))
-        with_chosen = metrics.w2_squared(sorted([*state.points, chosen]))
-        with_grid = metrics.w2_squared(sorted([*state.points, grid_min]))
-        worst_beat = max(worst_beat, with_chosen - with_grid)
+        chosen = next_point(state.copy())
+        with_chosen = metrics.w2_squared(sorted([*state.exact_points, chosen]))
+        with_grid = metrics.w2_squared(sorted([*state.exact_points, Fraction(grid_min)]))
+        worst_beat = max(worst_beat, float(with_chosen - with_grid))
     return [
         CheckResult(
             name="closed_forms_vs_quadrature",

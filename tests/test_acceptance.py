@@ -179,12 +179,12 @@ def test_criterion_08_closed_forms_match_quadrature_oracles():
     worst = 0.0
     for _ in range(100):
         n = rng.randint(1, 50)
-        pts = sorted(rng.random() for _ in range(n))
+        pts = sorted(Fraction(rng.random()) for _ in range(n))
         worst = max(
             worst,
-            abs(metrics.w2_squared(pts) - oracle.w2_defining_integral(pts)),
+            abs(float(metrics.w2_squared(pts)) - oracle.w2_defining_integral(pts)),
             abs(
-                metrics.l2_discrepancy_squared(pts)
+                float(metrics.l2_discrepancy_squared(pts))
                 - oracle.l2_defining_integral(pts)
             ),
             abs(

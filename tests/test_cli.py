@@ -552,6 +552,11 @@ class TestGoldenBytes:
                 id="verify-oracle-equiv",
             ),
             pytest.param(
+                ("verify", "--suite", "oracle_equiv"),
+                "00eaf9864d4546d86f258cf2e1ebe198f484b614a6f60cda16b6e09c5616e76f",
+                id="verify-oracle-equiv-default",
+            ),
+            pytest.param(
                 ("verify", "--suite", "main_lemma", "--budget", "40"),
                 "3919639f8706a139bb6f0485a4d379571dcbd31601988fcaedccc68046ad9992",
                 id="verify-main-lemma",

@@ -132,10 +132,6 @@ class TestStateBasics:
     def test_rejects_wrong_scalar_type(self):
         with pytest.raises(BackendMismatch):
             rational_state([0.5])  # float seed in the exact backend
-        state = rational_state([F(1, 2)])
-        for functional in (kritzinger_f, e_functional):
-            with pytest.raises(BackendMismatch):
-                functional(state, 0.25)
 
     def test_extend_cannot_shrink(self):
         state = grown([], 5)

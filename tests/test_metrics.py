@@ -57,15 +57,6 @@ class TestClosedForms:
         assert w2_squared(pts) == F(1, 12 * n * n)
         assert star_discrepancy(pts) == F(1, 2)
 
-    def test_float_path_matches_exact(self):
-        pts = [F(1, 7), F(2, 5), F(9, 10)]
-        fl = [float(p) for p in pts]
-        assert math.isclose(w2_squared(fl), float(w2_squared(pts)), abs_tol=1e-14)
-        assert math.isclose(
-            l2_discrepancy_squared(fl), float(l2_discrepancy_squared(pts)), abs_tol=1e-13
-        )
-        assert math.isclose(star_discrepancy(fl), float(star_discrepancy(pts)), abs_tol=1e-12)
-
     @pytest.mark.parametrize(
         "bad", [[], [F(1, 2), F(1, 4)], [F(-1, 4)], [F(5, 4)]]
     )
@@ -123,10 +114,6 @@ class TestStepIdentity:
         state = SequenceState(pts, backend=Backend.RATIONAL)
         assert step_identity_check(state, z) == 0
 
-    def test_float_residual_small(self):
-        state = SequenceState([0.3, 0.6, 0.9], backend=Backend.FLOAT)
-        assert abs(step_identity_check(state, 0.45)) < 1e-12
-
 
 class TestReport:
     def test_fields_match_components(self):
@@ -154,7 +141,7 @@ class TestMetricSeries:
         series = metric_series(vals)
         assert list(series["n"]) == list(range(1, 41))
         for i, n in enumerate(series["n"]):
-            prefix = sorted(vals[:n])
+            prefix = sorted(Fraction(v) for v in vals[:n])
             assert series["w2"][i] == pytest.approx(w2_squared(prefix), abs=1e-11)
             assert series["l2"][i] == pytest.approx(
                 l2_discrepancy_squared(prefix), abs=1e-10

@@ -1,9 +1,22 @@
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from greedyw2 import (
+    SequenceState,
+    e_functional,
+    kritzinger_f,
+    l2_discrepancy_squared,
+    max_abs_H,
+    report,
+    star_discrepancy,
+    step_identity_check,
+    w2_squared,
+)
+from greedyw2.lemma import PiecewiseFunction, basic_lemma_identity
 from greedyw2.numeric import (
     Backend,
     ConfigError,
@@ -57,6 +70,43 @@ class TestScalarPredicates:
     def test_float_scalars(self):
         assert is_float_scalar(0.5)
         assert not is_float_scalar(Fraction(1, 2))
+
+
+# A float-backend state: the functionals compute on its exact points and
+# return Fractions in either backend.
+_STATE = SequenceState([0.25, 0.75], backend=Backend.FLOAT)
+_LINE = PiecewiseFunction((0, Fraction(1, 3), 1), ((1, 0), (-2, 1)))
+
+# Each entry evaluates one library functional at the scalar x and returns
+# the exact values it hands back.
+EXACT_FUNCTIONALS = [
+    pytest.param(lambda x: (w2_squared([x]),), id="w2_squared"),
+    pytest.param(lambda x: (l2_discrepancy_squared([x]),), id="l2_discrepancy_squared"),
+    pytest.param(lambda x: (star_discrepancy([x]),), id="star_discrepancy"),
+    pytest.param(lambda x: (max_abs_H([x]),), id="max_abs_H"),
+    pytest.param(lambda x: astuple(report([x]))[1:], id="report"),
+    pytest.param(lambda x: (step_identity_check(_STATE, x),), id="step_identity_check"),
+    pytest.param(lambda x: (kritzinger_f(_STATE, x),), id="kritzinger_f"),
+    pytest.param(lambda x: (e_functional(_STATE, x),), id="e_functional"),
+    pytest.param(lambda x: (_LINE.eval(x),), id="eval"),
+    pytest.param(lambda x: (_LINE.antiderivative(x),), id="antiderivative"),
+    pytest.param(lambda x: basic_lemma_identity(_LINE, x), id="basic_lemma_identity"),
+    pytest.param(lambda x: PiecewiseFunction.indicator(x).breakpoints, id="indicator"),
+]
+
+
+class TestExactOnlyFunctionals:
+    @pytest.mark.parametrize("functional", EXACT_FUNCTIONALS)
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True], ids=["float", "float-one", "bool"])
+    def test_rejects_float_and_bool(self, functional, bad):
+        with pytest.raises(DomainError):
+            functional(bad)
+
+    @pytest.mark.parametrize("functional", EXACT_FUNCTIONALS)
+    @pytest.mark.parametrize("good", [1, Fraction(1, 2)], ids=["int", "fraction"])
+    def test_accepts_int_and_fraction(self, functional, good):
+        values = functional(good)
+        assert values and all(type(v) is Fraction for v in values)
 
 
 class TestParseSeed:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestDefiningIntegrals:
     def test_w2_matches_closed_form(self):
         rng = random.Random(0)
         for _ in range(10):
-            pts = sorted(rng.random() for _ in range(rng.randint(1, 50)))
+            pts = sorted(Fraction(rng.random()) for _ in range(rng.randint(1, 50)))
             assert w2_defining_integral(pts, 10**4) == pytest.approx(
                 w2_squared(pts), abs=1e-9
             )
@@ -63,7 +64,7 @@ class TestDefiningIntegrals:
     def test_l2_matches_closed_form(self):
         rng = random.Random(1)
         for _ in range(10):
-            pts = sorted(rng.random() for _ in range(rng.randint(1, 50)))
+            pts = sorted(Fraction(rng.random()) for _ in range(rng.randint(1, 50)))
             assert l2_defining_integral(pts, 10**4) == pytest.approx(
                 l2_discrepancy_squared(pts), abs=1e-9
             )
@@ -77,7 +78,7 @@ class TestDefiningIntegrals:
     def test_max_abs_h_grid(self):
         rng = random.Random(2)
         for _ in range(8):
-            pts = sorted(rng.random() for _ in range(rng.randint(1, 40)))
+            pts = sorted(Fraction(rng.random()) for _ in range(rng.randint(1, 40)))
             exact = float(max_abs_H(pts))
             grid = grid_max_abs_h(pts, 10**5)
             assert grid == pytest.approx(exact, abs=1e-7)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,7 @@ class TestFsumSeries:
         series = l2_series_fsum(vals)
         assert series.shape == (80,)
         for n in (1, 7, 80):
-            direct = l2_discrepancy_squared(sorted(vals[:n]))
+            direct = l2_discrepancy_squared(sorted(Fraction(v) for v in vals[:n]))
             assert series[n - 1] == pytest.approx(direct, abs=1e-13)
 
     def test_increments_on_reference_run_stay_below_third(self):
