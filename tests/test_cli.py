@@ -527,6 +527,18 @@ class TestGoldenBytes:
                 id="metrics-every64-json",
             ),
             pytest.param(
+                ("metrics", "--sequence", "kritzinger", "--seeds", "half", "--count", "3000",
+                 "--every", "1"),
+                "3c780e9a56eeaff3b8fc3043a0353d04d9b72c226602e6f9b318f09ccee1c744",
+                id="metrics-3000-sliced-csv",
+            ),
+            pytest.param(
+                ("metrics", "--sequence", "uniform", "--rng-seed", "7", "--generator", "pcg64",
+                 "--count", "3000", "--every", "1"),
+                "1c1d61a2cc9ebdb7fe2e703216e7b55fe0b46eb658f04ae46e0f6bff7413f13f",
+                id="metrics-uniform-3000-sliced-csv",
+            ),
+            pytest.param(
                 _COMPARE_DUP,
                 "88f73f8da2d1df00894df0a8eb24a62f38ddf0fd1f8ca539991d3eec57ea2e39",
                 id="compare-csv",

@@ -1,9 +1,12 @@
 import math
+import os
+import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greedyw2 import (
@@ -17,6 +20,7 @@ from greedyw2 import (
     step_identity_check,
     w2_squared,
 )
+from greedyw2 import metrics
 from greedyw2.metrics import DiscrepancyReport, sorted_prefixes
 from greedyw2.numeric import DomainError
 from greedyw2.verify import greedy_values
@@ -236,3 +240,93 @@ class TestMetricSeries:
             nx = n * x
             want = np.maximum(np.abs(k - nx), np.abs(k - 1 - nx)).max()
             assert star.tobytes() == want.tobytes()
+
+
+def _sliced(mp, workers):
+    """Let ``metric_series`` cut any series into up to ``workers`` slices."""
+    mp.setattr(metrics, "_usable_cpus", lambda: workers)
+    mp.setattr(metrics, "SLICE_FLOOR", 1)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSlicedSeries:
+    @settings(max_examples=80)
+    @given(
+        st.lists(unit_floats, min_size=1, max_size=300),
+        st.integers(1, 9),
+        st.lists(st.sampled_from(["w2", "l2", "star", "maxh"]), unique=True),
+        st.integers(2, 4),
+    )
+    # Rows 3, 6, 9, 11 in four slices: a boundary just before the final
+    # partial stride.
+    @example([0.5, 0.0, 1.0, 0.25, 0.5, 0.9, 0.1, 1.0, 0.0, 0.3, 0.5], 3, ["maxh", "w2"], 4)
+    @example([0.5, 0.25], 1, [], 3)
+    def test_slices_match_one_slice(self, values, every, names, workers):
+        v = np.asarray(values, dtype=np.float64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_usable_cpus", lambda: 1)
+            whole = metric_series(v, names, every)
+        with pytest.MonkeyPatch.context() as mp:
+            _sliced(mp, workers)
+            stops = metrics._slice_stops(whole["n"])
+            sliced = metric_series(v, names, every)
+        assert len(stops) == min(workers, whole["n"].size)
+        assert sorted(sliced) == sorted(whole) == sorted(["n", *names])
+        for name in whole:
+            assert np.array_equal(sliced[name], whole[name]), name
+            assert sliced[name].tobytes() == whole[name].tobytes(), name
+        _assert_no_child()
+
+    def test_failed_worker_names_its_slice(self, monkeypatch):
+        _sliced(monkeypatch, 3)
+        rows = metrics._metric_rows
+
+        def failing(vals, names, every, start):
+            if start > 0:
+                raise ValueError("row failure")
+            return rows(vals, names, every, start)
+
+        monkeypatch.setattr(metrics, "_metric_rows", failing)
+        stops = metrics._slice_stops(np.arange(1, 61))
+        assert len(stops) == 3
+        want = rf"slice 2 of 3 \(prefix sizes {stops[0] + 1}\.\.{stops[1]}\).*row failure"
+        with pytest.raises(RuntimeError, match=want):
+            metric_series(np.linspace(0.0, 1.0, 60))
+        _assert_no_child()
+
+    def test_fork_warning_is_silenced_only_at_the_fork(self, monkeypatch):
+        # Python 3.12+ warns on fork in a process with threads, which numpy's
+        # BLAS pool makes every numpy process; the suite turns warnings into
+        # errors, so this fails if the warning escapes the fork call.
+        _sliced(monkeypatch, 2)
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn("process is multi-threaded", DeprecationWarning)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        v = np.linspace(0.0, 1.0, 30)
+        assert metric_series(v, every=4)["maxh"].size == 8
+        with pytest.raises(DeprecationWarning):  # no filter outlives the call
+            warnings.warn("after the call", DeprecationWarning)
+        _assert_no_child()
+
+    def test_interrupt_kills_and_reaps_workers(self, monkeypatch):
+        _sliced(monkeypatch, 3)
+
+        def stalled(vals, names, every, start):
+            if start > 0:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(metrics, "_metric_rows", stalled)
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            metric_series(np.linspace(0.0, 1.0, 60))
+        assert time.monotonic() - began < 30
+        _assert_no_child()
