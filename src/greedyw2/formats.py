@@ -31,6 +31,7 @@ from .numeric import (
     Backend,
     ConfigError,
     format_rational,
+    parse_rational,
     parse_seed,
 )
 
@@ -257,11 +258,6 @@ def _parse_int(cell: str, lineno: int, column: str) -> int:
         raise DumpParseError(f"line {lineno}: column {column!r} is not an integer: {cell!r}") from None
 
 
-def _fraction(cell: str) -> Fraction:
-    j, _, q = cell.partition("/")
-    return Fraction(int(j), int(q))
-
-
 def _parse_row_cells(cells: Sequence[str], lineno: int) -> tuple:
     """The one definition of a valid dump row: its (step, raw_numerator,
     raw_denominator, reduced, float_value), or a line-numbered error."""
@@ -280,8 +276,8 @@ def _parse_row_cells(cells: Sequence[str], lineno: int) -> tuple:
     reduced: Fraction | None = None
     if reduced_cell:
         try:
-            reduced = _fraction(reduced_cell)
-        except (ValueError, ZeroDivisionError):
+            reduced = parse_rational(reduced_cell)
+        except ValueError:
             raise DumpParseError(f"line {lineno}: bad reduced fraction {reduced_cell!r}") from None
     try:
         value = float(value_cell)
@@ -309,9 +305,9 @@ def _parse_block(rows: list[str]) -> tuple | None:
         step, value = array("q", map(int, cells[0::5])), array("d", map(float, cells[4::5]))
         num, den, reduced = (  # an empty cell among filled ones fails to parse
             list(map(parse, cells[k::5])) if any(cells[k::5]) else ()
-            for k, parse in ((1, int), (2, int), (3, _fraction))
+            for k, parse in ((1, int), (2, int), (3, parse_rational))
         )
-    except (ValueError, OverflowError, ZeroDivisionError):
+    except (ValueError, OverflowError):
         return None
     v = np.asarray(value)
     if ((v >= 0.0) & (v <= 1.0)).all() and len(num) == len(den) and min(den, default=1) >= 1:

@@ -51,7 +51,6 @@ __all__ = [
     "max_abs_H",
     "metric_series",
     "report",
-    "sorted_prefixes",
     "star_discrepancy",
     "star_over_log",
     "step_identity_check",
@@ -159,12 +158,14 @@ def star_over_log(n: int, star) -> float | None:
 
 
 def report(points: Iterable) -> DiscrepancyReport:
-    """One-shot exact report for a sorted multiset."""
+    """One-shot exact report for a sorted multiset; W2^2 is read off
+    int g^2 = n^2 W2^2."""
     pts = _validated(points)
+    n, l2 = len(pts), l2_discrepancy_squared(pts)
     return DiscrepancyReport(
-        n=len(pts),
-        w2_squared=w2_squared(pts),
-        l2_disc_squared=l2_discrepancy_squared(pts),
+        n=n,
+        w2_squared=l2 / (n * n),
+        l2_disc_squared=l2,
         star_disc=star_discrepancy(pts),
         max_abs_h=max_abs_H(pts),
     )
@@ -188,26 +189,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def sorted_prefixes(values: Sequence[float], every: int = 1) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, the first n values sorted) for every ``every``-th n and for
-    the full length.
-
-    One sorted buffer grows by one stride per row: the stride's values are
-    sorted and merged in at their ``searchsorted`` ranks, so a row costs
-    O(n + s log s) for a stride of s values.  A stride of one is shifted in
-    place.  The yielded array is a view of that buffer: the next row
-    overwrites it, so copy it to keep it.  Raises DomainError for a stride
-    below 1.
-    """
-    if every < 1:
-        raise DomainError(f"stride must be >= 1, got {every}")
-    return _sorted_prefixes(np.asarray(values, dtype=np.float64), every, 0)
-
-
 def _sorted_prefixes(vals: np.ndarray, every: int, start: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The rows of ``sorted_prefixes`` after prefix size ``start``, a row of
-    it or 0: the first ``start`` values are sorted once, and the rows go on
-    from there."""
+    """Yield (n, the first n values sorted) for every ``every``-th n after
+    ``start``, a row of it or 0, and for the full length.
+
+    The first ``start`` values are sorted once; then one sorted buffer grows
+    by one stride per row: the stride's values are sorted and merged in at
+    their ``searchsorted`` ranks, so a row costs O(n + s log s) for a stride
+    of s values.  A stride of one is shifted in place.  The yielded array is
+    a view of that buffer: the next row overwrites it, so copy it to keep
+    it.  ``every`` must be at least 1.
+    """
     total = vals.size
     buf = np.empty(total, dtype=np.float64)
     buf[:start] = np.sort(vals[:start])
@@ -235,7 +227,7 @@ def metric_series(
 
     Returns arrays keyed by 'n' plus the requested metric names; rows cover
     every ``every``-th prefix size and always the full length.  The prefixes
-    come from ``sorted_prefixes``.  Each row fills a few shared arrays, in
+    come from ``_sorted_prefixes``.  Each row fills a few shared arrays, in
     scratch buffers allocated once per slice of rows (below), and reads
     every requested column from them, so a row costs O(n) elementwise work
     on top of its prefix and makes no BLAS call:

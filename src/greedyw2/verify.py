@@ -5,13 +5,13 @@ checks with signed margins (nonnegative means pass, and the value is the
 distance to failure).  The suites only combine public operations from the
 other modules, pairing independent evaluation routes wherever a claim has
 two sides.  The two L^2 suites, ``kritzinger_bound`` and ``prop2``, check
-the same three random-seed runs.
+the same three random-seed runs on their per-prefix int g^2 rows, read from
+the ``l2`` column of ``metrics.metric_series``.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,19 +81,18 @@ def _random_rational_points(rng: random.Random, n: int, max_den: int = 64) -> li
 
 
 def l2_series_fsum(values) -> np.ndarray:
-    """Per-prefix int g^2 via exact-rounded float summation.
+    """Per-prefix int g^2 of a float sequence: the ``l2`` column of
+    ``metrics.metric_series``, the package's one float L^2 series.
 
-    One fsum per prefix keeps each value within an ulp or two, so adjacent
-    differences are trustworthy at the 1e-12 scale that the per-step
-    increment check needs.
+    The name stays only for the benchmark's probe, which calls it by name;
+    ROADMAP item 7 renames it.  An earlier ``math.fsum`` loop here claimed
+    every value within an ulp or two.  That was wrong: rounding
+    d_k = x_k - (2k-1)/(2n) sets the error, so fsum and numpy's pairwise
+    sum both land up to about 4e-14 relative from the exact int g^2.
+    Raises DomainError for an empty sequence or a value that is NaN or
+    outside [0, 1].
     """
-    vals = np.asarray(values, dtype=np.float64)
-    out = np.empty(vals.size, dtype=np.float64)
-    odd = 2.0 * np.arange(1, vals.size + 1) - 1.0  # odd weights 1, 3, ..., 2N-1
-    for n, x in metrics.sorted_prefixes(vals):
-        d = x - odd[:n] / (2.0 * n)
-        out[n - 1] = n * math.fsum((d * d).tolist()) + 1.0 / 12.0
-    return out
+    return metrics.metric_series(values, metrics=("l2",))["l2"]
 
 
 def _l2_runs(budget: int, seed: int):

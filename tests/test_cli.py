@@ -550,7 +550,7 @@ class TestGoldenBytes:
             ),
             pytest.param(
                 ("verify", "--suite", "prop2", "--budget", "300"),
-                "0cb4b1db2714985c953fc5b1f3e7a7e3017e4e75dc586beed3381ffa6e83e7a3",
+                "992084ba4178baf506f635000d0a7980fc497023eb9a80fb0188d82e038fd006",
                 id="verify-prop2",
             ),
             pytest.param(

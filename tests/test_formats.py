@@ -282,6 +282,20 @@ class TestDumpParsing:
         with pytest.raises(DumpParseError, match=f"^{message}$"):
             read_dump_text(f"{self.HEADER}\n{row}\n")
 
+    @pytest.mark.parametrize("cell", ["-1/-2", "1_0/2_1", " 1/ 2"])
+    def test_rejects_loose_reduced_cells(self, cell):
+        row = f"3,,,{cell},0.5"
+        message = f"^line 3: bad reduced fraction {cell!r}$"
+        assert formats._parse_block(["1,,,,0.5", row]) is None
+        with pytest.raises(DumpParseError, match=message):
+            formats._parse_row_cells(row.split(","), 3)
+        with pytest.raises(DumpParseError, match=message):
+            read_dump_text(f"{self.HEADER}\n1,,,,0.5\n{row}\n")
+        rows = [{"step": k, "float_value": 0.5} for k in (1, 2, 3)]
+        rows[2]["reduced"] = cell  # a JSON error names the row
+        with pytest.raises(DumpParseError, match=message):
+            read_dump_text(json.dumps({"rows": rows}))
+
     def test_accepts_int64_steps_and_partial_exact_forms(self):
         text = f"{self.HEADER}\n-9223372036854775808,,,,0\n9223372036854775807,2,4,,0.5\n3,,,1/4,0.25\n"
         _, dump = read_dump_text(text)

@@ -21,7 +21,7 @@ from greedyw2 import (
     w2_squared,
 )
 from greedyw2 import metrics
-from greedyw2.metrics import DiscrepancyReport, sorted_prefixes
+from greedyw2.metrics import DiscrepancyReport
 from greedyw2.numeric import DomainError
 from greedyw2.verify import greedy_values
 
@@ -163,8 +163,9 @@ class TestMetricSeries:
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             metric_series(np.array([]))
-        with pytest.raises(DomainError):
-            metric_series(np.array([0.5]), every=0)
+        for every in (0, -2):
+            with pytest.raises(DomainError, match="stride"):
+                metric_series(np.array([0.5]), every=every)
         with pytest.raises(DomainError):
             metric_series(np.array([0.5]), metrics=("volume",))
 
@@ -175,16 +176,11 @@ class TestMetricSeries:
         with pytest.raises(DomainError, match="outside"):
             metric_series([bad, 0.2], metrics=("star",), every=5)
 
-    @pytest.mark.parametrize("every", [0, -2])
-    def test_sorted_prefixes_rejects_bad_stride(self, every):
-        with pytest.raises(DomainError, match="stride"):
-            list(sorted_prefixes([0.1, 0.2, 0.3, 0.4, 0.5], every))
-
     @settings(max_examples=150)
     @given(st.lists(unit_floats, min_size=1, max_size=60), st.integers(1, 70))
     def test_strided_prefixes_are_sorted_rows(self, values, every):
         v = np.asarray(values, dtype=np.float64)
-        rows = [(n, x.copy()) for n, x in sorted_prefixes(v, every)]
+        rows = [(n, x.copy()) for n, x in metrics._sorted_prefixes(v, every, 0)]
         expected = list(range(every, v.size + 1, every))
         if not expected or expected[-1] != v.size:
             expected.append(v.size)

@@ -1,11 +1,12 @@
+import bisect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from greedyw2 import SUITES, run_suite
+from greedyw2 import SUITES, run_suite, verify
 from greedyw2.greedy import greedy_values
-from greedyw2.numeric import ConfigError
+from greedyw2.numeric import ConfigError, DomainError
 from greedyw2.verify import l2_series_fsum
 
 
@@ -74,19 +75,61 @@ class TestSuitesPass:
             run_suite("theorem2_windows", budget=60)
 
 
+def _exact_l2_rows(values) -> list[Fraction]:
+    """Exact int g_n^2 of every prefix, on integers: each double is m / D
+    for one power of two D, and for sorted x, int g_n^2 = n Q - R + n^2/3
+    with Q = sum x_k^2 and R = sum (2k-1) x_k."""
+    D = max(Fraction(v).denominator for v in values)
+    m = [int(Fraction(v) * D) for v in values]
+    rows, prefix, q = [], [], 0
+    for n, mk in enumerate(m, 1):
+        bisect.insort(prefix, mk)
+        q += mk * mk
+        r = sum((2 * k - 1) * x for k, x in enumerate(prefix, 1))
+        rows.append(Fraction(3 * n * q - 3 * D * r + n * n * D * D, 3 * D * D))
+    return rows
+
+
 class TestFsumSeries:
     def test_matches_direct_computation(self):
         from greedyw2 import l2_discrepancy_squared
 
-        vals = greedy_values([0.5], 80)
+        vals = greedy_values([0.5], 2000)
         series = l2_series_fsum(vals)
-        assert series.shape == (80,)
-        for n in (1, 7, 80):
-            direct = l2_discrepancy_squared(sorted(Fraction(v) for v in vals[:n]))
-            assert series[n - 1] == pytest.approx(direct, abs=1e-13)
+        assert series.shape == (2000,)
+        for n in (1, 7, 666, 2000):
+            direct = float(l2_discrepancy_squared(sorted(Fraction(v) for v in vals[:n])))
+            assert series[n - 1] == pytest.approx(direct, rel=1e-13, abs=0)
 
     def test_increments_on_reference_run_stay_below_third(self):
         vals = greedy_values([0.5], 400)
         series = l2_series_fsum(vals)
         inc = np.diff(series)
         assert inc.max() <= 1 / 3 + 1e-12
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5])
+    def test_rejects_points_outside_unit_interval(self, bad):
+        with pytest.raises(DomainError, match="outside"):
+            l2_series_fsum([0.5, bad, 0.25])
+
+    def test_suite_margins_match_exact_margins(self, monkeypatch):
+        values = []  # the greedy runs that the two L^2 suites check
+        series = verify.l2_series_fsum
+
+        def recording(vals):
+            values.append(vals)
+            return series(vals)
+
+        monkeypatch.setattr(verify, "l2_series_fsum", recording)
+        n0s = [n0 for _, n0, _ in verify._l2_runs(300, 0)]
+        bound = run_suite("kritzinger_bound", budget=300, seed=0).checks
+        prop2 = run_suite("prop2", budget=300, seed=0).checks
+        assert len(values) == 9
+        third = Fraction(1, 3)
+        for n0, vals, bound_check, prop2_check in zip(n0s, values, bound, prop2):
+            l2 = [Fraction(0), *_exact_l2_rows(vals)]  # l2[n] = int g_n^2
+            c = max(Fraction(0), l2[n0] - n0 * third)
+            slack = min(n * third + c - l2[n] for n in range(n0 + 1, 301))
+            step = third - max(l2[n] - l2[n - 1] for n in range(n0 + 1, 301))
+            for check, want in ((bound_check, slack), (prop2_check, step)):
+                assert abs(Fraction(check.margin) - want) <= Fraction(1, 10**14), check.name
