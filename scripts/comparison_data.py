@@ -12,13 +12,14 @@ import argparse
 import sys
 
 from greedyw2.cli import main as cli_main
+from greedyw2.numeric import parse_int
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=5000, help="points per series")
+    parser.add_argument("--count", type=parse_int, default=5000, help="points per series")
     parser.add_argument(
-        "--every", type=int, default=1, help="emit one row every k prefix lengths"
+        "--every", type=parse_int, default=1, help="emit one row every k prefix lengths"
     )
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -13,7 +13,7 @@ import sys
 
 from greedyw2.formats import write_table
 from greedyw2.greedy import TIE_RULES, SequenceState, extend
-from greedyw2.numeric import Backend, parse_seed, seed_help
+from greedyw2.numeric import Backend, parse_int, parse_seed, seed_help
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,15 +26,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--random-seeds",
-        type=int,
+        type=parse_int,
         default=None,
         metavar="N",
         help="start from N uniform random points instead of explicit seeds",
     )
-    parser.add_argument("--count", type=int, default=1000, help="total points to reach")
+    parser.add_argument("--count", type=parse_int, default=1000, help="total points to reach")
     parser.add_argument("--tie-rule", choices=TIE_RULES, default="smallest")
     parser.add_argument(
-        "--rng-seed", type=int, default=0, help="seed for --random-seeds draws"
+        "--rng-seed", type=parse_int, default=0, help="seed for --random-seeds draws"
     )
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser

@@ -34,6 +34,7 @@ from .numeric import (
     BackendMismatch,
     ConfigError,
     DomainError,
+    parse_int,
     seed_help,
 )
 from .verify import SUITES, run_suite
@@ -53,7 +54,7 @@ def _add_generation_args(p: argparse.ArgumentParser, *, require_sequence: bool) 
         default="",
         help=f"comma-separated seed points for the greedy sequence ({seed_help()})",
     )
-    p.add_argument("--count", type=int, default=None, help="number of points to emit")
+    p.add_argument("--count", type=parse_int, default=None, help="number of points to emit")
     p.add_argument(
         "--backend",
         choices=("rational", "float"),
@@ -71,7 +72,7 @@ def _add_generation_args(p: argparse.ArgumentParser, *, require_sequence: bool) 
         default="phi",
         help="kronecker rotation number: 'phi' or a positive float (default: phi)",
     )
-    p.add_argument("--rng-seed", type=int, default=0, help="seed for the uniform stream")
+    p.add_argument("--rng-seed", type=parse_int, default=0, help="seed for the uniform stream")
     p.add_argument(
         "--generator",
         choices=("pcg64", "mt19937"),
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     met = sub.add_parser("metrics", help="compute metric columns for a dump or a fresh run")
     met.add_argument("--in", dest="input", default=None, help="dump file to read instead of generating")
     _add_generation_args(met, require_sequence=False)
-    met.add_argument("--every", type=int, default=1, help="emit one row every k prefix lengths")
+    met.add_argument("--every", type=parse_int, default=1, help="emit one row every k prefix lengths")
     met.add_argument(
         "--star-scale",
         choices=("count", "normalized"),
@@ -117,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME[:k=v,...]",
         help="sequence spec; options: seeds (';'-separated), alpha, rng_seed, generator, tie_rule, label",
     )
-    cmp_.add_argument("--count", type=int, required=True, help="points per series")
-    cmp_.add_argument("--every", type=int, default=1, help="emit one row every k prefix lengths")
+    cmp_.add_argument("--count", type=parse_int, required=True, help="points per series")
+    cmp_.add_argument("--every", type=parse_int, default=1, help="emit one row every k prefix lengths")
     _add_output_args(cmp_)
 
     ver = sub.add_parser("verify", help="run structural check suites")
@@ -128,11 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which suite to run (default: all)",
     )
-    ver.add_argument("--budget", type=int, default=None, help="work budget for a single suite")
-    ver.add_argument("--seed", type=int, default=0, help="randomization seed")
+    ver.add_argument("--budget", type=parse_int, default=None, help="work budget for a single suite")
+    ver.add_argument("--seed", type=parse_int, default=0, help="randomization seed")
     ver.add_argument(
         "--grid-resolution",
-        type=int,
+        type=parse_int,
         default=None,
         help="grid cells for the dense-argmin oracle comparison",
     )
@@ -211,10 +212,6 @@ def _parse_series_spec(spec: str, count: int) -> RunConfig:
                 raise ConfigError(f"bad series option {part!r} in {spec!r}")
             options[key] = value.strip()
     seeds = tuple(s for s in options.get("seeds", "").split(";") if s)
-    try:
-        rng_seed = int(options.get("rng_seed", "0"))
-    except ValueError:
-        raise ConfigError(f"rng_seed must be an integer in {spec!r}") from None
     config = RunConfig(
         sequence=name,
         seeds=seeds,
@@ -222,7 +219,7 @@ def _parse_series_spec(spec: str, count: int) -> RunConfig:
         backend="float",
         tie_rule=options.get("tie_rule", "smallest"),
         alpha=options.get("alpha", "phi"),
-        rng_seed=rng_seed,
+        rng_seed=parse_int(options.get("rng_seed", "0")),
         generator=options.get("generator", "pcg64"),
         label=options.get("label"),
     )

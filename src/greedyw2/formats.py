@@ -30,7 +30,10 @@ from .metrics import star_over_log
 from .numeric import (
     Backend,
     ConfigError,
+    DomainError,
     format_rational,
+    parse_decimal,
+    parse_int,
     parse_rational,
     parse_seed,
 )
@@ -104,8 +107,8 @@ class RunConfig:
         if self.alpha == "phi":
             return GOLDEN_RATIO
         try:
-            value = float(self.alpha)
-        except ValueError:
+            value = parse_decimal(self.alpha)
+        except DomainError:
             raise ConfigError(f"alpha must be 'phi' or a positive number, got {self.alpha!r}") from None
         if not (value > 0 and math.isfinite(value)):
             raise ConfigError(f"alpha must be positive and finite, got {self.alpha!r}")
@@ -251,11 +254,10 @@ def write_dump(fh: IO[str], meta: dict[str, str], dump: Dump, fmt: str) -> None:
     write_table(fh, meta, DUMP_COLUMNS, [getattr(dump, name) for name in DUMP_COLUMNS], fmt)
 
 
-def _parse_int(cell: str, lineno: int, column: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise DumpParseError(f"line {lineno}: column {column!r} is not an integer: {cell!r}") from None
+# Each dump column's name in errors, its parser and whether a cell is required.
+_CELL_PARSERS = (("step", parse_int, True), ("raw_numerator", parse_int, False),
+                 ("raw_denominator", parse_int, False), ("reduced fraction", parse_rational, False),
+                 ("float value", parse_decimal, True))
 
 
 def _parse_row_cells(cells: Sequence[str], lineno: int) -> tuple:
@@ -265,24 +267,15 @@ def _parse_row_cells(cells: Sequence[str], lineno: int) -> tuple:
         raise DumpParseError(
             f"line {lineno}: expected {len(DUMP_COLUMNS)} comma-separated fields, got {len(cells)}"
         )
-    step_cell, num_cell, den_cell, reduced_cell, value_cell = cells
-    if not step_cell:
-        raise DumpParseError(f"line {lineno}: missing step number")
-    step = _parse_int(step_cell, lineno, "step")
-    num = _parse_int(num_cell, lineno, "raw_numerator") if num_cell else None
-    den = _parse_int(den_cell, lineno, "raw_denominator") if den_cell else None
+    parsed = []
+    for (what, parse, required), cell in zip(_CELL_PARSERS, cells):
+        try:
+            parsed.append(parse(cell) if cell or required else None)
+        except DomainError:
+            raise DumpParseError(f"line {lineno}: bad {what} {cell!r}") from None
+    step, num, den, reduced, value = parsed
     if (num is None) != (den is None):
         raise DumpParseError(f"line {lineno}: raw numerator and denominator must appear together")
-    reduced: Fraction | None = None
-    if reduced_cell:
-        try:
-            reduced = parse_rational(reduced_cell)
-        except ValueError:
-            raise DumpParseError(f"line {lineno}: bad reduced fraction {reduced_cell!r}") from None
-    try:
-        value = float(value_cell)
-    except ValueError:
-        raise DumpParseError(f"line {lineno}: bad float value {value_cell!r}") from None
     if not 0.0 <= value <= 1.0:
         raise DumpParseError(f"line {lineno}: float value {value!r} is outside [0, 1]")
     if not -(2**63) <= step < 2**63:
@@ -290,17 +283,20 @@ def _parse_row_cells(cells: Sequence[str], lineno: int) -> tuple:
     if den is not None and den < 1:
         raise DumpParseError(f"line {lineno}: raw denominator {den} is not positive")
     if None not in (num, reduced) and num * reduced.denominator != den * reduced.numerator:
-        raise DumpParseError(f"line {lineno}: raw form {num}/{den} is not the reduced {reduced_cell}")
+        raise DumpParseError(f"line {lineno}: raw form {num}/{den} is not the reduced {cells[3]}")
     return step, num, den, reduced, value
 
 
 def _parse_block(rows: list[str]) -> tuple | None:
     """The rows' five columns, parsed a column at a time; None when a row
     fails a check of ``_parse_row_cells`` or an optional column is filled
-    in only some rows."""
-    if set(map(str.count, rows, repeat(","))) != {4}:
+    in only some rows.  On lines of ASCII text with no space, tab or ``_``,
+    int() and float() accept just the cells of ``numeric``'s grammar, and
+    float's 'nan' and 'inf', which the range check turns away."""
+    text = ",".join(rows)
+    if set(map(str.count, rows, repeat(","))) != {4} or not text.isascii() or any(c in text for c in " \t_"):
         return None
-    cells = ",".join(rows).split(",")
+    cells = text.split(",")
     try:
         step, value = array("q", map(int, cells[0::5])), array("d", map(float, cells[4::5]))
         num, den, reduced = (  # an empty cell among filled ones fails to parse
@@ -388,11 +384,10 @@ def _read_dump_csv(text: str) -> tuple[dict[str, str], Dump]:
 
 
 def read_dump_file(path: str) -> tuple[dict[str, str], Dump]:
-    with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
     try:
-        return read_dump_text(text)
-    except DumpParseError as exc:
+        with open(path, encoding="utf-8-sig") as fh:
+            return read_dump_text(fh.read())
+    except (DumpParseError, UnicodeDecodeError) as exc:
         raise DumpParseError(f"{path}: {exc}") from None
 
 

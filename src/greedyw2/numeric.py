@@ -6,7 +6,8 @@ ints and ``fractions.Fraction`` values only and return Fractions, checked by
 Floats enter only as float-backend seeds and as points of the batch float
 routes (``metrics.metric_series``, the oracles).  The greedy engine computes
 exactly in both backends, so a backend fixes only the scalar type of a run's
-seeds and of the points it hands out.
+seeds and of the points it hands out.  Every number the program reads as
+text is parsed here, by one ASCII grammar.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ __all__ = [
     "format_rational",
     "is_float_scalar",
     "is_rational_scalar",
+    "parse_decimal",
+    "parse_int",
     "parse_rational",
     "parse_seed",
     "seed_help",
@@ -58,21 +61,40 @@ class Backend(enum.Enum):
             ) from None
 
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
-# The exponent is what repr writes for a small float; three digits cover
-# every double and keep Fraction's exact conversion cheap.
-_DECIMAL_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d{1,3})?$")
+# The one grammar of number text, in ASCII digits only: a signed integer,
+# 'j/q', and a decimal as float() reads a finite one, of any exponent length,
+# so that it covers every repr and agrees with the dump reader's fast path.
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+/[0-9]+")
+_DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?([0-9]+))?")
+
+
+def _literal(convert, pattern: re.Pattern, text: str, kind: str):
+    """``convert(text)`` once ``text`` matches ``pattern``; else DomainError."""
+    if pattern.fullmatch(text) is None:
+        raise DomainError(f"not {kind} literal: {text!r}")
+    try:
+        return convert(text)
+    except ValueError:  # int()'s limit on the digits it converts
+        raise DomainError(f"{kind} literal of {len(text)} characters exceeds int()'s digit limit") from None
+
+
+def parse_int(text: str) -> int:
+    """Parse an optionally signed integer literal, such as '12' or '-3'."""
+    return _literal(int, _INT_RE, text, "an integer")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical 'j/q' text form into a reduced fraction."""
-    m = _RATIONAL_RE.match(text.strip())
-    if m is None:
-        raise DomainError(f"not a rational literal: {text!r} (expected 'j/q')")
-    j, q = int(m.group(1)), int(m.group(2))
+    j, q = _literal(lambda t: tuple(map(int, t.split("/"))), _RATIONAL_RE, text, "a rational 'j/q'")
     if q == 0:
         raise DomainError(f"zero denominator in rational literal {text!r}")
     return Fraction(j, q)
+
+
+def parse_decimal(text: str) -> float:
+    """Parse a decimal literal, such as a float's repr ('0.5', '5e-05')."""
+    return _literal(float, _DECIMAL_RE, text, "a decimal")
 
 
 def format_rational(r: Fraction) -> str:
@@ -124,8 +146,8 @@ def parse_seed(spec: str, backend: Backend):
     """Parse one seed literal into a Fraction, or a float on the float backend.
 
     Accepts named constants (see :data:`NAMED_SEEDS`), 'j/q' rationals, and
-    decimal literals with an optional exponent, such as a dumped float's
-    repr ('5e-05').  The rational backend rejects named irrational
+    decimal literals with an optional exponent of up to three digits, such
+    as a dumped float's repr ('5e-05').  The rational backend rejects named irrational
     constants outright: they have no exact representation.
     """
     spec = spec.strip()
@@ -139,10 +161,10 @@ def parse_seed(spec: str, backend: Backend):
                 )
             return exact
         return approx
-    if _RATIONAL_RE.match(spec):
+    if _RATIONAL_RE.fullmatch(spec):
         value = parse_rational(spec)
-    elif _DECIMAL_RE.match(spec):
-        value = Fraction(spec)  # exact decimal-to-rational conversion
+    elif (decimal := _DECIMAL_RE.fullmatch(spec)) and len(decimal[1] or "") <= 3:  # keeps 10**exp small
+        value = _literal(Fraction, _DECIMAL_RE, spec, "a decimal")  # exact
     else:
         raise ConfigError(f"cannot parse seed {spec!r}")
     if not 0 <= value <= 1:

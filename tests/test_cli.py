@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -217,6 +218,22 @@ class TestMetrics:
         plain = run(capsys, "metrics", "--in", str(tmp_path / "plain.csv"))[1]
         assert with_bom == plain.replace("plain.csv", "bom.csv")
 
+    def test_dump_that_is_not_utf8_names_file(self, capsys, tmp_path):
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(b"\xffstep,raw_numerator,raw_denominator,reduced,float_value\n1,,,,0.5\n")
+        code, out, err = run(capsys, "metrics", "--in", str(bad))
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert str(bad) in err and "utf-8" in err
+
+    @pytest.mark.parametrize(
+        "row", ["1_0,,,,0.5", "١,,,,0.5", "2,,,,٠.٥", "2,,,١/٢,0.5", "2,,, 1/2,0.5", "2,\t1,2,,0.5"]
+    )
+    def test_dump_number_text_outside_the_grammar(self, capsys, tmp_path, row):
+        bad = tmp_path / "loose.csv"
+        bad.write_text(f"step,raw_numerator,raw_denominator,reduced,float_value\n1,,,,0.25\n{row}\n")
+        code, out, err = run(capsys, "metrics", "--in", str(bad))
+        assert code == 2 and out == "" and "line 3" in err
+
     def test_json_rows_not_an_array(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"meta": {}, "rows": 5}\n')
@@ -378,6 +395,61 @@ class TestCompare:
             capsys, "compare", "--series", "sobol", "--series", "vdc", "--count", "5"
         )
         assert code == 2 and "sobol" in err
+
+
+class TestNumberText:
+    # Number text outside the ASCII grammar: an underscore, another script's
+    # digits, a leading space and a tab.  Seeds may carry surrounding spaces,
+    # since a seed list is split on commas.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--sequence", "kritzinger", "--seeds", "١/٢", "--count", "3"],
+            ["generate", "--sequence", "kritzinger", "--seeds", "٠.٥", "--count", "3"],
+            ["generate", "--sequence", "kritzinger", "--seeds", "1_0/2_0", "--count", "3"],
+            ["generate", "--sequence", "kritzinger", "--seeds", "1/\t2", "--count", "3"],
+            ["generate", "--sequence", "kronecker", "--alpha", "1_5", "--count", "3"],
+            ["generate", "--sequence", "kronecker", "--alpha", "١", "--count", "3"],
+            ["generate", "--sequence", "kronecker", "--alpha", " 1.5", "--count", "3"],
+            ["compare", "--series", "uniform:rng_seed=1_0", "--series", "vdc", "--count", "5"],
+        ],
+    )
+    def test_rejected_seed_alpha_and_spec(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--sequence", "vdc", "--count", "٣"],
+            ["generate", "--sequence", "vdc", "--count", "1_0"],
+            ["generate", "--sequence", "vdc", "--count", " 3"],
+            ["generate", "--sequence", "uniform", "--count", "3", "--rng-seed", "1\t"],
+            ["metrics", "--sequence", "vdc", "--count", "3", "--every", "١"],
+            ["compare", "--series", "vdc", "--series", "kronecker", "--count", "1_0"],
+            ["verify", "--suite", "prop2", "--budget", "1_0"],
+            ["verify", "--suite", "prop2", "--seed", "٣"],
+            ["verify", "--suite", "oracle_equiv", "--grid-resolution", " 9"],
+        ],
+    )
+    def test_rejected_integer_options(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
+
+    def test_seeds_keep_surrounding_spaces(self, capsys):
+        argv = ["generate", "--sequence", "kritzinger", "--count", "4", "--seeds"]
+        spaced, plain = run(capsys, *argv, " 1/2 ,\t0.25"), run(capsys, *argv, "1/2,0.25")
+        assert spaced == plain and spaced[0] == 0
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="int() has no digit limit here"
+    )
+    @pytest.mark.parametrize("seed", ["1/" + "3" * 5000, "0." + "3" * 5000])
+    def test_over_long_seed_literal(self, capsys, seed):
+        code, out, err = run(capsys, "generate", "--sequence", "kritzinger", "--seeds", seed, "--count", "3")
+        assert code == 2 and out == "" and err.startswith("error:") and "digit limit" in err
 
 
 class TestVerify:

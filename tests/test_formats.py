@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tracemalloc
 from array import array
 from decimal import Decimal
@@ -296,6 +297,34 @@ class TestDumpParsing:
         with pytest.raises(DumpParseError, match=message):
             read_dump_text(json.dumps({"rows": rows}))
 
+    # Number text outside the ASCII grammar, each in a column where int()
+    # or float() alone would take it: an underscore, another script's
+    # digits, a leading space and a tab.
+    @pytest.mark.parametrize(
+        "row, what, cell",
+        [
+            ("1_0,,,,0.5", "step", "1_0"),
+            ("3,1_0,2_0,,0.5", "raw_numerator", "1_0"),
+            ("١,,,,0.5", "step", "١"),
+            ("3,,,,٠.٥", "float value", "٠.٥"),
+            ("3,,,١/٢,0.5", "reduced fraction", "١/٢"),
+            ("3,,, 1/2,0.5", "reduced fraction", " 1/2"),
+            ("3,,,, 0.5", "float value", " 0.5"),
+            ("3,\t1,2,,0.5", "raw_numerator", "\t1"),
+        ],
+    )
+    def test_rejects_number_text_outside_the_grammar(self, row, what, cell):
+        message = f"^line 3: bad {what} {re.escape(repr(cell))}$"
+        assert formats._parse_block(["2,,,,0.5", row]) is None
+        with pytest.raises(DumpParseError, match=message):
+            formats._parse_row_cells(row.split(","), 3)
+        with pytest.raises(DumpParseError, match=message):
+            read_dump_text(f"{self.HEADER}\n1,,,,0.5\n{row}\n")
+        rows = [{"step": k, "float_value": 0.5} for k in (1, 2)]
+        rows.append(dict(zip(DUMP_COLUMNS, row.split(","))))  # a JSON error names the row
+        with pytest.raises(DumpParseError, match=message):
+            read_dump_text(json.dumps({"rows": rows}))
+
     def test_accepts_int64_steps_and_partial_exact_forms(self):
         text = f"{self.HEADER}\n-9223372036854775808,,,,0\n9223372036854775807,2,4,,0.5\n3,,,1/4,0.25\n"
         _, dump = read_dump_text(text)
@@ -373,6 +402,18 @@ dump_lines = st.one_of(
 )
 
 
+# Cells for the grammar agreement test: canonical ones, and near misses
+# that int() or float() alone would take or that stretch the grammar.
+number_cells = st.one_of(
+    st.sampled_from([
+        "", "0", "-0", "+2", "7", "-3", "9223372036854775808", "1/2", "-1/3", "2/4", "0/1",
+        "0.5", ".5", "1.", "5e-05", "+.5E+0", "1e-0005", "1e-400", "nan", "inf", "-inf",
+        "1_0", "1_0/2", "0.5_0", "١", "٠.٥", "١/٢", " 1", "1 ", "\t1", "0.\t5",
+    ]),
+    st.text(alphabet="0123456789+-./eE_ \t١", max_size=6),
+)
+
+
 class TestBlockReader:
     @given(
         before=st.lists(st.sampled_from(["", "# a=1", "  # b = 2"]), max_size=2),
@@ -393,6 +434,24 @@ class TestBlockReader:
                 assert str(got.value) == str(exc)
             else:
                 assert read_dump_text(text) == expected
+
+    @given(
+        base=st.sampled_from(["1,,,,0.5", "2,1,4,1/4,0.25", "-3,3,4,,0.75", "4,,,3/8,0.375", "5,0,2,0/1,0"]),
+        column=st.integers(0, 4),
+        cell=number_cells,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_block_and_row_paths_accept_the_same_cells(self, base, column, cell):
+        cells = base.split(",")
+        cells[column] = cell
+        block = formats._parse_block([",".join(cells)])
+        try:
+            step, num, den, reduced, value = formats._parse_row_cells(cells, 1)
+        except DumpParseError:
+            assert block is None
+        else:
+            optional = [[] if c is None else [c] for c in (num, den, reduced)]
+            assert block is not None and [list(col) for col in block] == [[step], *optional, [value]]
 
     def test_float_only_dump_reads_in_small_memory(self):
         rows = 20_000

@@ -217,6 +217,18 @@ class TestGreedyProperties:
                     assert chosen >= c.value
 
 
+    @given(st.lists(st.integers(0, 97).map(lambda k: F(k, 97)), max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_tie_rules_mirror_each_other(self, seeds):
+        # x -> 1 - x carries the functional of seeds S to that of 1 - S, so
+        # the largest minimizer from S mirrors the smallest from 1 - S at
+        # every step, ties included (the empty start ties from step 2 on).
+        count = len(seeds) + 150
+        largest = extend(rational_state(seeds), count, tie_rule="largest")
+        smallest = extend(rational_state([1 - s for s in seeds]), count, tie_rule="smallest")
+        assert largest == [1 - x for x in smallest]
+
+
 class TestBackendAgreement:
     @given(
         st.lists(st.integers(0, 1024).map(lambda k: F(k, 1024)), min_size=0, max_size=4),

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ from greedyw2.numeric import (
     format_rational,
     is_float_scalar,
     is_rational_scalar,
+    parse_decimal,
+    parse_int,
     parse_rational,
     parse_seed,
     seed_help,
@@ -58,6 +61,56 @@ class TestRationalText:
     def test_rejects_non_rational_text(self, bad):
         with pytest.raises(DomainError):
             parse_rational(bad)
+
+
+# Number text that int(), float() or a \\d regex would take, but the ASCII
+# grammar does not: underscores, other scripts' digits, spaces and tabs.
+LOOSE_INTS = ["1_0", "١", " 1", "1 ", "\t1", "1\t0", "0x10"]
+LOOSE_RATIONALS = ["1_0/2", "١/٢", " 1/2", "1/2 ", "1/\t2", "-1/-2", "1/+2"]
+LOOSE_DECIMALS = ["0.5_0", "٠.٥", " 0.5", "0.5\t", "nan", "inf", "1e", "."]
+has_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="int() has no digit limit here"
+)
+
+
+class TestNumberGrammar:
+    def test_canonical_forms(self):
+        assert [parse_int(t) for t in ("0", "-12", "+3", "007")] == [0, -12, 3, 7]
+        assert [parse_decimal(t) for t in ("0.5", ".5", "1.", "5e-05", "1E+2", "-0.0")] == [
+            0.5, 0.5, 1.0, 5e-05, 100.0, 0.0
+        ]
+
+    @pytest.mark.parametrize(
+        "parse, bad",
+        [(parse_int, t) for t in LOOSE_INTS]
+        + [(parse_rational, t) for t in LOOSE_RATIONALS]
+        + [(parse_decimal, t) for t in LOOSE_DECIMALS],
+    )
+    def test_rejects_loose_text(self, parse, bad):
+        with pytest.raises(DomainError):
+            parse(bad)
+
+    @pytest.mark.parametrize("bad", ["1_0/2", "١/٢", "1/ 2", "1/\t2", "0.5_0", "٠.٥", "1_0", "١"])
+    def test_seed_rejects_loose_text(self, bad):
+        with pytest.raises(ConfigError):
+            parse_seed(bad, Backend.RATIONAL)
+
+    def test_seed_keeps_surrounding_spaces(self):
+        for spec in (" 1/2\t", " 0.5 "):
+            assert parse_seed(spec, Backend.RATIONAL) == Fraction(1, 2)
+
+    @has_digit_limit
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_int, "7" * 5000),
+            (parse_rational, "1/" + "3" * 5000),
+            (lambda t: parse_seed(t, Backend.FLOAT), "0." + "3" * 5000),
+        ],
+    )
+    def test_digit_limit_is_a_domain_error(self, parse, text):
+        with pytest.raises(DomainError, match="digit limit"):
+            parse(text)
 
 
 class TestScalarPredicates:
