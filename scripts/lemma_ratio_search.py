@@ -16,18 +16,18 @@ import json
 import sys
 
 from greedyw2.lemma import lemma_sweep
-from greedyw2.numeric import DomainError, parse_int
+from greedyw2.numeric import DomainError, integer
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=parse_int, default=1000, help="number of random functions")
-    parser.add_argument("--seed", type=parse_int, default=0, help="randomization seed")
+    parser.add_argument("--trials", type=integer, default=1000, help="number of random functions")
+    parser.add_argument("--seed", type=integer, default=0, help="randomization seed")
     parser.add_argument(
-        "--max-pieces", type=parse_int, default=64, help="maximum pieces per function"
+        "--max-pieces", type=integer, default=64, help="maximum pieces per function"
     )
     parser.add_argument(
-        "--value-bound", type=parse_int, default=10, help="bound on |g| at grid nodes"
+        "--value-bound", type=integer, default=10, help="bound on |g| at grid nodes"
     )
     parser.add_argument(
         "--no-records",

@@ -13,7 +13,7 @@ import sys
 
 from greedyw2.formats import write_table
 from greedyw2.greedy import TIE_RULES, SequenceState, extend
-from greedyw2.numeric import Backend, parse_int, parse_seed, seed_help
+from greedyw2.numeric import Backend, ConfigError, DomainError, integer, parse_seed, seed_help
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,15 +26,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--random-seeds",
-        type=parse_int,
+        type=integer,
         default=None,
         metavar="N",
         help="start from N uniform random points instead of explicit seeds",
     )
-    parser.add_argument("--count", type=parse_int, default=1000, help="total points to reach")
+    parser.add_argument("--count", type=integer, default=1000, help="total points to reach")
     parser.add_argument("--tie-rule", choices=TIE_RULES, default="smallest")
     parser.add_argument(
-        "--rng-seed", type=parse_int, default=0, help="seed for --random-seeds draws"
+        "--rng-seed", type=integer, default=0, help="seed for --random-seeds draws"
     )
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
@@ -47,7 +47,11 @@ def main(argv=None) -> int:
         seeds = [rng.random() for _ in range(args.random_seeds)]
         seed_desc = f"random:{args.random_seeds}"
     else:
-        seeds = [parse_seed(s.strip(), Backend.FLOAT) for s in args.seeds.split(",") if s.strip()]
+        try:
+            seeds = [parse_seed(s.strip(), Backend.FLOAT) for s in args.seeds.split(",") if s.strip()]
+        except (ConfigError, DomainError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         seed_desc = args.seeds or "none"
     if args.count < max(len(seeds), 1):
         print(f"error: --count {args.count} is below the seed count", file=sys.stderr)

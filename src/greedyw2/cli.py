@@ -34,6 +34,7 @@ from .numeric import (
     BackendMismatch,
     ConfigError,
     DomainError,
+    integer,
     parse_int,
     seed_help,
 )
@@ -54,7 +55,7 @@ def _add_generation_args(p: argparse.ArgumentParser, *, require_sequence: bool) 
         default="",
         help=f"comma-separated seed points for the greedy sequence ({seed_help()})",
     )
-    p.add_argument("--count", type=parse_int, default=None, help="number of points to emit")
+    p.add_argument("--count", type=integer, default=None, help="number of points to emit")
     p.add_argument(
         "--backend",
         choices=("rational", "float"),
@@ -72,7 +73,7 @@ def _add_generation_args(p: argparse.ArgumentParser, *, require_sequence: bool) 
         default="phi",
         help="kronecker rotation number: 'phi' or a positive float (default: phi)",
     )
-    p.add_argument("--rng-seed", type=parse_int, default=0, help="seed for the uniform stream")
+    p.add_argument("--rng-seed", type=integer, default=0, help="seed for the uniform stream")
     p.add_argument(
         "--generator",
         choices=("pcg64", "mt19937"),
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     met = sub.add_parser("metrics", help="compute metric columns for a dump or a fresh run")
     met.add_argument("--in", dest="input", default=None, help="dump file to read instead of generating")
     _add_generation_args(met, require_sequence=False)
-    met.add_argument("--every", type=parse_int, default=1, help="emit one row every k prefix lengths")
+    met.add_argument("--every", type=integer, default=1, help="emit one row every k prefix lengths")
     met.add_argument(
         "--star-scale",
         choices=("count", "normalized"),
@@ -118,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME[:k=v,...]",
         help="sequence spec; options: seeds (';'-separated), alpha, rng_seed, generator, tie_rule, label",
     )
-    cmp_.add_argument("--count", type=parse_int, required=True, help="points per series")
-    cmp_.add_argument("--every", type=parse_int, default=1, help="emit one row every k prefix lengths")
+    cmp_.add_argument("--count", type=integer, required=True, help="points per series")
+    cmp_.add_argument("--every", type=integer, default=1, help="emit one row every k prefix lengths")
     _add_output_args(cmp_)
 
     ver = sub.add_parser("verify", help="run structural check suites")
@@ -129,11 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which suite to run (default: all)",
     )
-    ver.add_argument("--budget", type=parse_int, default=None, help="work budget for a single suite")
-    ver.add_argument("--seed", type=parse_int, default=0, help="randomization seed")
+    ver.add_argument("--budget", type=integer, default=None, help="work budget for a single suite")
+    ver.add_argument("--seed", type=integer, default=0, help="randomization seed")
     ver.add_argument(
         "--grid-resolution",
-        type=parse_int,
+        type=integer,
         default=None,
         help="grid cells for the dense-argmin oracle comparison",
     )
@@ -186,6 +187,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         meta, dump = read_dump_file(args.input)
         meta["source"] = args.input
         values = dump_values(dump)
+        del dump  # the steps and exact cells; values may view the float column
     elif args.sequence is not None:
         config = _config_from_args(args)
         values = dump_values(build_dump(config))

@@ -17,7 +17,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import truediv
 from typing import IO, Iterable, Sequence
 
@@ -314,7 +314,16 @@ def _parse_block(rows: list[str]) -> tuple | None:
 
 def read_dump_text(text: str) -> tuple[dict[str, str], Dump]:
     """Parse a dump file (CSV or JSON, auto-detected) into metadata and columns."""
-    return (_read_dump_json if text.lstrip().startswith("{") else _read_dump_csv)(text)
+    return _read_dump(_text_blocks(text))
+
+
+def _read_dump(blocks: Iterable[str]) -> tuple[dict[str, str], Dump]:
+    """A dump from an iterator over its text's blocks: JSON, whose ``{``
+    comes in the first block, whole; CSV block by block."""
+    head = next(blocks, "")
+    if head.lstrip().startswith("{"):
+        return _read_dump_json(head + "".join(blocks))
+    return _read_dump_csv(chain([head], blocks))
 
 
 def _read_dump_json(text: str) -> tuple[dict[str, str], Dump]:
@@ -345,16 +354,23 @@ def _read_dump_json(text: str) -> tuple[dict[str, str], Dump]:
 _BLOCK_CHARS = 1 << 16  # text per block of the CSV reader: a few thousand rows
 
 
-def _read_dump_csv(text: str) -> tuple[dict[str, str], Dump]:
-    """Parse a CSV dump in blocks, each cut right after a newline, so that
-    their lines are those of ``text.splitlines()``.  A block that
-    ``_parse_block`` rejects is parsed again row by row, which raises the
-    first line-numbered error."""
-    meta: dict[str, str] = {}
-    dump, header_seen, lineno, start = Dump(), False, 0, 0
+def _text_blocks(text: str) -> Iterable[str]:
+    """``text`` cut right after a newline every ``_BLOCK_CHARS`` or more."""
+    start = 0
     while start < len(text):
         end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        chunk = text[start:end]
+        yield text[start:end]
+        start = end
+
+
+def _read_dump_csv(blocks: Iterable[str]) -> tuple[dict[str, str], Dump]:
+    """Parse a CSV dump from blocks that each end with a newline but the
+    last, so that their lines are those of the text's ``splitlines()``.  A
+    block that ``_parse_block`` rejects is parsed again row by row, which
+    raises the first line-numbered error."""
+    meta: dict[str, str] = {}
+    dump, header_seen, lineno = Dump(), False, 0
+    for chunk in blocks:
         lines = chunk.splitlines()
         rows = list(filter(None, map(str.strip, lines)))
         if "#" in chunk:
@@ -375,7 +391,7 @@ def _read_dump_csv(text: str) -> tuple[dict[str, str], Dump]:
             if block is None:
                 block = zip(*map(_parse_row_cells, map(str.split, rows, repeat(",")), linenos))
             dump.append(*block)
-        start, lineno = end, lineno + len(lines)
+        lineno += len(lines)
     if not header_seen:
         raise DumpParseError("line 1: no dump header found")
     if not len(dump):
@@ -384,10 +400,14 @@ def _read_dump_csv(text: str) -> tuple[dict[str, str], Dump]:
 
 
 def read_dump_file(path: str) -> tuple[dict[str, str], Dump]:
+    """``read_dump_text`` on a UTF-8 file, read by block."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            return read_dump_text(fh.read())
-    except (DumpParseError, UnicodeDecodeError) as exc:
+            return _read_dump(iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), ""))
+    except UnicodeDecodeError as exc:  # whose position counts from a block, not the file
+        bad = exc.object[exc.start : exc.end]
+        raise DumpParseError(f"{path}: 'utf-8' codec can't decode {bad!r}: {exc.reason}") from None
+    except DumpParseError as exc:
         raise DumpParseError(f"{path}: {exc}") from None
 
 

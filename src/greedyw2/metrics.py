@@ -189,32 +189,47 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sorted_prefixes(vals: np.ndarray, every: int, start: int) -> Iterator[tuple[int, np.ndarray]]:
+def _sorted_prefixes(
+    vals: np.ndarray, every: int, start: int, bufs: list[np.ndarray] | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, the first n values sorted) for every ``every``-th n after
     ``start``, a row of it or 0, and for the full length.
 
-    The first ``start`` values are sorted once; then one sorted buffer grows
-    by one stride per row: the stride's values are sorted and merged in at
-    their ``searchsorted`` ranks, so a row costs O(n + s log s) for a stride
-    of s values.  A stride of one is shifted in place.  The yielded array is
-    a view of that buffer: the next row overwrites it, so copy it to keep
-    it.  ``every`` must be at least 1.
+    The rows live in ``bufs`` = [b, spare] (made if not given), arrays of
+    size + 2 that start with 0: the yield is b[1 : n+1], and b[n+1] = 1.  A
+    stride of one is shifted into b; a stride of s > 1 is sorted and merged
+    with b into spare, which then swaps with b, so a row costs
+    O(n + s log s).  Between rows the caller may use spare but its [0].
+    ``every`` must be at least 1.
     """
     total = vals.size
-    buf = np.empty(total, dtype=np.float64)
-    buf[:start] = np.sort(vals[:start])
+    if bufs is None:
+        bufs = [np.zeros(total + 2), np.zeros(total + 2)]
+    row = bufs[0][1:]  # b without its leading 0: the prefix, then 1
+    row[:start] = vals[:start]
+    row[:start].sort()
+    row[start] = 1.0  # moves up as each row's values come in
+    keep = np.empty(total + 1, dtype=bool)  # which merged entries come from b
     i = start
     while i < total:
         n = min(i + every, total)
         if n == i + 1:
             v = vals[i]
-            pos = int(np.searchsorted(buf[:i], v))
-            buf[pos + 1 : n] = buf[pos:i]
-            buf[pos] = v
+            pos = int(np.searchsorted(row[:i], v))
+            row[pos + 1 : n + 1] = row[pos:n]
+            row[pos] = v
         else:
             chunk = np.sort(vals[i:n])
-            buf[:n] = np.insert(buf[:i], np.searchsorted(buf[:i], chunk), chunk)
-        yield n, buf[:n]
+            pos = np.searchsorted(row[:i], chunk)
+            pos += np.arange(n - i)  # the stride's places in the merged row
+            merged, kept = bufs[1][1 : n + 2], keep[: n + 1]
+            kept.fill(True)
+            kept[pos] = False
+            merged[pos] = chunk
+            merged[kept] = row[: i + 1]
+            bufs.reverse()
+            row = bufs[0][1:]
+        yield n, row[:n]
         i = n
 
 
@@ -227,10 +242,9 @@ def metric_series(
 
     Returns arrays keyed by 'n' plus the requested metric names; rows cover
     every ``every``-th prefix size and always the full length.  The prefixes
-    come from ``_sorted_prefixes``.  Each row fills a few shared arrays, in
-    scratch buffers allocated once per slice of rows (below), and reads
-    every requested column from them, so a row costs O(n) elementwise work
-    on top of its prefix and makes no BLAS call:
+    come from ``_sorted_prefixes``.  Each row reads every requested column
+    from a few arrays that it fills in place, so a row costs O(n)
+    elementwise work on top of its prefix and makes no BLAS call:
 
     - d_k = x_k - (2k-1)/(2n); l2 = n sum d_k^2 + 1/12, summed by numpy's
       pairwise ``add.reduce``, and w2 = l2 / n^2 (int g^2 = n^2 W2^2).
@@ -243,17 +257,22 @@ def metric_series(
       where A_c > 0 > B_c, g has a zero inside segment c and
       2H there is 2H(b_c) + A_c^2/n.  max|H| is half the largest |2H|.
 
+    A slice holds six float64 arrays of its size N: counts 0..N, odd
+    weights, b, a spare, A and B.  The spare takes a strided row's merge,
+    then nb, then 2H; B holds d, then A + B.  With three boolean masks
+    that is about 51 bytes per point.
+
     A row depends only on its sorted prefix, so a large series is cut into
     contiguous slices of rows of about equal weight, one per usable CPU.  A
     row of n points weighs n + ``ROW_POINTS`` = n + 4096: it costs about
-    30-50 us plus 8-11 ns per point (fits over dense series of 1000 and 8000
+    25-45 us plus 8-9 ns per point (fits over dense rows of 200-8000
     uniform points on a 2-core x86-64 host), so its fixed part is worth
-    about 4096 points.  This process computes the first slice; each other
-    slice runs in a child made with ``os.fork``, which sorts the prefix
-    before its first row once and sends its columns back over a pipe as
-    float64 bytes.  Every row is computed by the same code from the same
+    about 3000-4700 points.  This process computes the first slice; each
+    other slice runs in a child made with ``os.fork``, which sorts the
+    prefix before its first row once and sends its columns back over a pipe
+    as float64 bytes.  Every row is computed by the same code from the same
     sorted multiset, so the output bytes do not depend on the number of
-    slices.  A slice weighs at least ``SLICE_FLOOR`` = 2^20, about 10-15 ms
+    slices.  A slice weighs at least ``SLICE_FLOOR`` = 2^20, about 9-10 ms
     of rows, because a fork, pipe and reap round trip costs about 2-3 ms in
     a numpy process of 40-50 MB: a lighter slice would spend a large share
     of its time on its worker.  A dense series splits from about 490 points
@@ -389,15 +408,13 @@ def _metric_rows(vals: np.ndarray, names: tuple[str, ...], every: int, start: in
     size = vals.size
     counts = np.arange(size + 1, dtype=np.float64)  # 0, 1, ..., N
     odd = 2.0 * counts[1:] - 1.0  # odd weights 1, 3, ..., 2N-1
-    d = np.empty(size)
-    b = np.zeros(size + 2)  # b[0] = 0 stays
-    nb, h2 = np.empty(size + 2), np.zeros(size + 2)  # h2[0] = 2H(0) = 0 stays
-    A, B, t = np.empty(size + 1), np.empty(size + 1), np.empty(size + 1)
+    bufs = [np.zeros(size + 2), np.zeros(size + 2)]  # b and a spare
+    A, B = np.empty(size + 1), np.empty(size + 1)  # B first holds d
     rising, falling = np.empty(size + 1, dtype=bool), np.empty(size + 1, dtype=bool)
     cols: dict[str, list[float]] = {name: [] for name in names}
-    for n, x in _sorted_prefixes(vals, every, start):
+    for n, x in _sorted_prefixes(vals, every, start, bufs):
         if quad:
-            dn = d[:n]
+            dn = B[:n]
             np.divide(odd[:n], 2.0 * n, out=dn)
             np.subtract(x, dn, out=dn)
             np.multiply(dn, dn, out=dn)
@@ -408,27 +425,24 @@ def _metric_rows(vals: np.ndarray, names: tuple[str, ...], every: int, start: in
                 cols["w2"].append(l2 / (n * n))
         if not jumps:
             continue
-        bn, nbn, An, Bn = b[: n + 2], nb[: n + 2], A[: n + 1], B[: n + 1]
-        bn[1 : n + 1] = x
-        bn[n + 1] = 1.0
-        np.multiply(bn, n, out=nbn)
-        np.subtract(counts[: n + 1], nbn[:-1], out=An)
-        np.subtract(counts[: n + 1], nbn[1:], out=Bn)
+        bn, spare, An, Bn = bufs[0][: n + 2], bufs[1][: n + 2], A[: n + 1], B[: n + 1]
+        np.multiply(bn, n, out=spare)  # n b
+        np.subtract(counts[: n + 1], spare[:-1], out=An)
+        np.subtract(counts[: n + 1], spare[1:], out=Bn)
         if "star" in want:
             cols["star"].append(float(max(np.maximum.reduce(An), -np.minimum.reduce(Bn))))
         if "maxh" in want:
-            hn, tn = h2[: n + 2], t[: n + 1]
-            np.subtract(bn[1:], bn[:-1], out=hn[1:])  # segment widths, then 2H
-            np.add(An, Bn, out=tn)
-            np.multiply(tn, hn[1:], out=tn)
-            np.cumsum(tn, out=hn[1:])
-            best = max(np.maximum.reduce(hn), -np.minimum.reduce(hn))
             zero = np.greater(An, 0.0, out=rising[: n + 1])
             zero &= np.less(Bn, 0.0, out=falling[: n + 1])
+            np.add(An, Bn, out=Bn)  # A + B
+            np.subtract(bn[1:], bn[:-1], out=spare[1:])  # segment widths, then 2H
+            np.multiply(Bn, spare[1:], out=Bn)
+            np.cumsum(Bn, out=spare[1:])
+            best = max(np.maximum.reduce(spare), -np.minimum.reduce(spare))
             inner = zero.nonzero()[0]
             if inner.size:
                 a = An[inner]
-                best = max(best, np.maximum.reduce(hn[inner] + a * a / n))
+                best = max(best, np.maximum.reduce(spare[inner] + a * a / n))
             cols["maxh"].append(0.5 * float(best))
     rows = _row_count(start, size, every)
     return np.array([cols[name] for name in names], dtype=np.float64).reshape(len(names), rows)

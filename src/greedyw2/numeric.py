@@ -24,6 +24,7 @@ __all__ = [
     "DomainError",
     "NAMED_SEEDS",
     "format_rational",
+    "integer",
     "is_float_scalar",
     "is_rational_scalar",
     "parse_decimal",
@@ -82,6 +83,12 @@ def _literal(convert, pattern: re.Pattern, text: str, kind: str):
 def parse_int(text: str) -> int:
     """Parse an optionally signed integer literal, such as '12' or '-3'."""
     return _literal(int, _INT_RE, text, "an integer")
+
+
+def integer(text: str) -> int:
+    """``parse_int`` as an argparse option type: argparse names a bad value
+    after the type's function, 'invalid integer value: ...'."""
+    return parse_int(text)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -438,6 +438,14 @@ class TestNumberText:
         assert exc.value.code == 2
         assert "error: argument" in capsys.readouterr().err
 
+    def test_integer_option_error_reads_as_integer(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--sequence", "vdc", "--count", "٣"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --count: invalid integer value: '٣'" in err
+        assert "parse_int" not in err
+
     def test_seeds_keep_surrounding_spaces(self, capsys):
         argv = ["generate", "--sequence", "kritzinger", "--count", "4", "--seeds"]
         spaced, plain = run(capsys, *argv, " 1/2 ,\t0.25"), run(capsys, *argv, "1/2,0.25")

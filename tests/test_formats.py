@@ -6,11 +6,12 @@ from array import array
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedyw2 import formats
+from greedyw2 import formats, metrics
 from greedyw2.formats import (
     COMPARE_COLUMNS,
     DUMP_COLUMNS,
@@ -27,6 +28,7 @@ from greedyw2.formats import (
     write_dump,
     write_report,
 )
+from greedyw2.metrics import metric_series
 from greedyw2.numeric import ConfigError
 
 F = Fraction
@@ -467,6 +469,75 @@ class TestBlockReader:
             tracemalloc.stop()
         assert len(values) == rows
         assert peak / rows <= 110, f"{peak / rows:.1f} bytes per row"
+
+    def test_strided_prefix_metrics_run_in_small_memory(self, monkeypatch):
+        # Six float64 row buffers of the series' length, 48 bytes a point,
+        # plus three boolean masks and one stride's sort and ranks.
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 1)
+        values = np.random.default_rng(1).random(100_000)
+        tracemalloc.start()
+        try:
+            series = metric_series(values, every=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series["n"].size == 10
+        assert peak / values.size <= 60, f"{peak / values.size:.1f} bytes per point"
+
+
+def csv_dump_text(rows, newline="\n"):
+    """A float-only CSV dump of ``rows`` rows with a '#' line before the header."""
+    lines = ["# source=test", ",".join(DUMP_COLUMNS)]
+    lines += [f"{k},,,,{k / (rows + 1)!r}" for k in range(1, rows + 1)]
+    return newline.join(lines) + newline
+
+
+class TestStreamedFileReader:
+    """``read_dump_file`` reads a file block by block and must behave like
+    ``read_dump_text`` on the file's whole decoded text."""
+
+    ROWS = 10_000  # about 300 KB of CSV: more than three blocks
+
+    def test_crlf_bom_file_matches_text(self, tmp_path):
+        text = csv_dump_text(self.ROWS, "\r\n")
+        assert len(text) > 3 * formats._BLOCK_CHARS
+        p = tmp_path / "dump.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_dump_file(str(p)) == read_dump_text(text)
+
+    def test_bad_row_in_third_block_names_the_same_line(self, tmp_path):
+        lines = csv_dump_text(self.ROWS).split("\n")
+        offset, k = 0, 0
+        while offset <= 2 * formats._BLOCK_CHARS + 100:
+            offset, k = offset + len(lines[k]) + 1, k + 1
+        lines[k] = f"{k},,,,0.5x"
+        text = "\r\n".join(lines)
+        with pytest.raises(DumpParseError) as want:
+            read_dump_text(text)
+        assert f"line {k + 1}:" in str(want.value)
+        p = tmp_path / "dump.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        with pytest.raises(DumpParseError) as got:
+            read_dump_file(str(p))
+        assert str(got.value) == f"{p}: {want.value}"
+
+    def test_undecodable_byte_past_first_block_names_the_path(self, tmp_path):
+        data = bytearray(csv_dump_text(self.ROWS).encode())
+        at = data.index(b"\n", 2 * formats._BLOCK_CHARS) + 1
+        data[at : at + 1] = b"\xff"
+        p = tmp_path / "dump.csv"
+        p.write_bytes(bytes(data))
+        with pytest.raises(DumpParseError, match=re.escape(str(p)) + ".*decode"):
+            read_dump_file(str(p))
+
+    def test_json_after_leading_space_is_detected(self, tmp_path):
+        cfg = RunConfig(sequence="vdc", count=5)
+        buf = io.StringIO()
+        write_dump(buf, cfg.meta(), build_dump(cfg), "json")
+        text = "\n  \r\n\t" + buf.getvalue()
+        p = tmp_path / "dump.json"
+        p.write_text(text, encoding="utf-8")
+        assert read_dump_file(str(p)) == read_dump_text(text) == (cfg.meta(), build_dump(cfg))
 
 
 class TestReportWriters:

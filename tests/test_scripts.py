@@ -50,3 +50,27 @@ def test_lemma_ratio_search_reports_bad_arguments(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["--seeds", "2/1", "--count", "5"], id="seed-outside"),
+        pytest.param(["--seeds", "x", "--count", "5"], id="seed-unparsed"),
+    ],
+)
+def test_scatter_data_reports_bad_seeds(capsys, argv):
+    main = runpy.run_path(str(SCRIPTS / "scatter_data.py"))["main"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_scatter_data_integer_option_error_reads_as_integer(capsys):
+    main = runpy.run_path(str(SCRIPTS / "scatter_data.py"))["main"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--count", "٣"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --count: invalid integer value: '٣'" in err
